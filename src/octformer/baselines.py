@@ -137,18 +137,9 @@ def knn_indices(octree: Octree, depth: int, k: int,
         radius = radius0
         while pending.size:
             offsets, d2 = _cube_offsets(radius)
-            base = coords[pending]
-            vals = np.full((pending.size, offsets.shape[0]), sentinel, dtype=np.int64)
-            for j in range(offsets.shape[0]):
-                cand = base + offsets[j]
-                valid = ((cand >= 0) & (cand < lim)).all(axis=1)
-                if not valid.any():
-                    continue
-                hit = octree.find(depth, morton.encode_cells(cand[valid], depth))
-                found = hit >= 0
-                rows = np.flatnonzero(valid)[found]
-                # composite sort key: distance first, node index second
-                vals[rows, j] = d2[j] * n + hit[found]
+            hit = octree.neighbors(depth, coords[pending], offsets)
+            # composite sort key: distance first, node index second
+            vals = np.where(hit >= 0, d2 * n + hit, sentinel)
             enough = (vals < sentinel).sum(axis=1) >= k
             kth = np.partition(vals, k - 1, axis=1)[:, k - 1]
             done = enough & (kth < sentinel) & (kth // n < (radius + 1) ** 2)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 
 from .bench import BenchSettings, VARIANTS
@@ -112,6 +114,9 @@ class BenchSection:
                 raise ConfigError(f"unknown bench variant {v!r}")
         if any(n < 1 for n in self.sizes):
             raise ConfigError("bench sizes must be >= 1")
+        smallest = min(self.sizes, default=self.k_neighbors)
+        if "knn" in self.variants and smallest < self.k_neighbors:
+            raise ConfigError(f"bench k_neighbors {self.k_neighbors} exceeds size {smallest}")
 
     def build(self) -> BenchSettings:
         return BenchSettings(channels=self.channels, heads=self.heads,
@@ -143,47 +148,44 @@ class RunConfig:
     outputs: OutputSection = field(default_factory=OutputSection)
 
 
-_SECTIONS = {
-    "octree": OctreeSection,
-    "dataset": DatasetSection,
-    "network": NetworkSection,
-    "training": TrainingSection,
-    "bench": BenchSection,
-    "outputs": OutputSection,
-}
+def _fits(value, hint) -> bool:
+    """Whether a JSON value (lists already made tuples) has the type ``hint``.
+
+    Tuple lengths are left to the section's own checks.
+    """
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, tuple) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _from_dict(cls, data: dict):
+def _from_dict(cls, data: dict, where: str):
+    """Build a config dataclass, checking keys and value types recursively."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{cls.__name__} section must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+        raise ConfigError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    spelled = {f.name: f.type for f in dataclasses.fields(cls)}  # annotation text
+    unknown = set(data) - set(spelled)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {cls.__name__}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
+        if dataclasses.is_dataclass(hints[key]):
+            value = _from_dict(hints[key], value, f"{where}.{key}")
+        else:
+            value = tuple(value) if isinstance(value, list) else value
+            if not _fits(value, hints[key]):
+                raise ConfigError(f"{where}.{key} must be {spelled[key]}, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 
 
 def parse_run_config(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    top_names = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - top_names
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _from_dict(_SECTIONS[key], value)
-        elif key == "inputs":
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    return RunConfig(**kwargs)
+    return _from_dict(RunConfig, data, "config")
 
 
 def load_run_config(path: str) -> RunConfig:

@@ -404,39 +404,47 @@ def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as f:
         data = f.read()
     buf = io.BytesIO(data)
+
+    def read(n: int, fmt: str | None = None):
+        """Exactly ``n`` bytes, unpacked with ``fmt`` if given."""
+        raw = buf.read(n)
+        if len(raw) != n:
+            raise DataError(f"{path}: truncated checkpoint")
+        return struct.unpack(fmt, raw) if fmt else raw
+
     if buf.read(4) != CKPT_MAGIC:
         raise DataError("bad checkpoint magic")
-    (version,) = struct.unpack("<I", buf.read(4))
+    (version,) = read(4, "<I")
     if version != CKPT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<I", buf.read(4))
-    cfg = json.loads(buf.read(cfg_len).decode())
-    config = NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in cfg.items()})
+    cfg_bytes = read(*read(4, "<I"))  # length-prefixed JSON
+    try:
+        cfg = json.loads(cfg_bytes.decode())
+        config = NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in cfg.items()})
+    except (ValueError, TypeError, AttributeError) as e:
+        raise DataError(f"{path}: bad checkpoint config ({e})") from None
     model = init_model(config, seed=0)
     expected = {name: (value, kind) for name, value, kind in named_tensors(model)}
     seen = set()
     while buf.tell() < len(data):
-        (name_len,) = struct.unpack("<I", buf.read(4))
-        name = buf.read(name_len).decode()
-        (tag,) = struct.unpack("<B", buf.read(1))
-        (ndim,) = struct.unpack("<I", buf.read(4))
-        shape = struct.unpack(f"<{ndim}Q", buf.read(8 * ndim))
+        name = read(*read(4, "<I")).decode(errors="replace")  # length-prefixed
+        tag, ndim = read(5, "<BI")
+        if tag not in _TAG_DTYPES:
+            raise DataError(f"{path}: unknown dtype tag {tag} for {name!r}")
+        shape = read(8 * ndim, f"<{ndim}Q")
         dtype = np.dtype(_TAG_DTYPES[tag])
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(buf.read(count * dtype.itemsize),
-                            dtype=dtype.newbyteorder("<")).astype(dtype)
-        arr = arr.reshape(shape)
+        arr = np.frombuffer(read(count * dtype.itemsize),
+                            dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
         if name not in expected:
             raise DataError(f"unexpected checkpoint record {name!r}")
         value, kind = expected[name]
+        if value.shape != arr.shape:
+            raise DataError(f"shape mismatch for {name!r}")
         if kind == "param":
-            if value.shape != arr.shape:
-                raise DataError(f"shape mismatch for {name!r}")
             value.data = arr
         else:
-            if value.shape != arr.shape:
-                raise DataError(f"shape mismatch for {name!r}")
             value[...] = arr
         seen.add(name)
     missing = set(expected) - seen

@@ -1,6 +1,6 @@
 """Sparse convolutions over octree node arrays.
 
-Every variant is a gather + contraction over a fixed tap footprint:
+Every variant sums one contraction per tap of a fixed footprint:
 
 * stride 1: anchored at each node of the input depth, output at the same
   nodes;
@@ -10,18 +10,22 @@ Every variant is a gather + contraction over a fixed tap footprint:
 Kernel 3 uses the 27 offsets in {-1,0,1}^3, kernel 2 the 8 offsets in
 {0,1}^3, both ordered with dz fastest (z-order over offsets). Absent
 neighbors contribute zero, matching dense zero padding.
+
+Tap t adds ``x[in_rows] @ W[t]`` (dense) or ``x[in_rows] * w[t]``
+(depthwise) into ``out[out_rows]``, so no (N_out, taps, C) gather is built.
+Within a tap distinct outputs read distinct inputs, so backward scatters
+into ``gx[in_rows]`` with plain fancy indexing. Tap tables and their per-tap
+row pairs are built once and cached, read-only, on the ``Octree``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import morton
 from .errors import ConfigError, ShapeError
-from .octree import Octree, neighbor_indices
+from .octree import Octree, TapTable
 from .tensor import (
     BatchNormState,
     Tensor,
@@ -30,16 +34,6 @@ from .tensor import (
     relu,
     trunc_normal,
 )
-
-
-def kernel_offsets(kernel: int) -> list[tuple[int, int, int]]:
-    if kernel == 3:
-        rng = (-1, 0, 1)
-    elif kernel == 2:
-        rng = (0, 1)
-    else:
-        raise ValueError(f"kernel must be 2 or 3, got {kernel}")
-    return list(itertools.product(rng, rng, rng))
 
 
 @dataclass
@@ -78,52 +72,30 @@ class ConvSpec:
                    trunc_normal(shape, std, rng, dtype), depthwise)
 
 
-def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> np.ndarray:
-    """Gather table (N_out, taps) into the depth-``depth`` node array."""
-    if not 1 <= depth <= octree.depth:
-        raise ValueError(f"depth {depth} out of [1, {octree.depth}]")
-    offsets = kernel_offsets(kernel)
-    if stride == 1:
-        return neighbor_indices(octree, depth, offsets)
-    if depth < 2:
-        raise ValueError("stride-2 convolution needs depth >= 2")
-    anchors = 2 * octree.coords(depth - 1)
-    lim = 1 << depth
-    n = anchors.shape[0]
-    out = np.full((n, len(offsets)), -1, dtype=np.int64)
-    for j, off in enumerate(offsets):
-        shifted = anchors + np.asarray(off, dtype=np.int64)
-        valid = ((shifted >= 0) & (shifted < lim)).all(axis=1)
-        if not valid.any():
-            continue
-        codes = morton.encode_cells(shifted[valid], depth)
-        out[valid, j] = octree.find(depth, codes)
-    return out
+def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> TapTable:
+    """Tap table (N_out, taps) into the depth-``depth`` node array."""
+    return octree.tap_table(depth, kernel, stride)
 
 
-def gathered_conv(x: Tensor, idx: np.ndarray, weights: Tensor,
+def gathered_conv(x: Tensor, idx: TapTable, weights: Tensor,
                   depthwise: bool) -> Tensor:
-    """Contraction over a precomputed gather table, as a single taped op."""
-    present = idx >= 0
-    xg = x.data[np.clip(idx, 0, None)]
-    xg[~present] = 0.0  # (N_out, taps, C_in)
-    if depthwise:
-        out_data = np.einsum("ntc,tc->nc", xg, weights.data, optimize=True)
-    else:
-        out_data = np.einsum("ntc,tco->no", xg, weights.data, optimize=True)
+    """Per-tap contractions over a tap table's cached pairs, as one taped op."""
+    pairs = idx.pairs
+    xd, w = x.data, weights.data
+    out = np.zeros((idx.shape[0], w.shape[-1]), dtype=np.result_type(xd, w))
+    for (rows, cols), wt in zip(pairs, w):
+        out[rows] += xd[cols] * wt if depthwise else xd[cols] @ wt
 
     def vjp(g):
-        if depthwise:
-            gw = np.einsum("ntc,nc->tc", xg, g, optimize=True)
-            gxg = g[:, None, :] * weights.data[None, :, :]
-        else:
-            gw = np.einsum("ntc,no->tco", xg, g, optimize=True)
-            gxg = np.einsum("no,tco->ntc", g, weights.data, optimize=True)
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        np.add.at(gx, idx[present], gxg[present])
-        return gx, gw.astype(weights.dtype)
+        gx = np.zeros(xd.shape, dtype=g.dtype)
+        gw = np.empty_like(w)
+        for t, ((rows, cols), wt) in enumerate(zip(pairs, w)):
+            gt, xt = g[rows], xd[cols]
+            gw[t] = np.einsum("nc,nc->c", xt, gt) if depthwise else xt.T @ gt
+            gx[cols] += gt * wt if depthwise else gt @ wt.T
+        return gx, gw
 
-    return from_op(out_data, (x, weights), vjp)
+    return from_op(out, (x, weights), vjp)
 
 
 def octree_conv(x: Tensor, octree: Octree, depth: int, spec: ConvSpec) -> Tensor:

@@ -8,6 +8,7 @@ the result is a pure function of the occupied cell set.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -70,6 +71,24 @@ class QuantizedCloud:
         return np.clip(c, 0, (1 << self.depth) - 1)
 
 
+def kernel_offsets(kernel: int) -> np.ndarray:
+    """(kernel**3, 3) tap offsets: {-1,0,1}^3 for 3, {0,1}^3 for 2, dz fastest."""
+    if kernel not in (2, 3):
+        raise ValueError(f"kernel must be 2 or 3, got {kernel}")
+    span = np.arange(kernel) - (kernel == 3)
+    return np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TapTable(np.ndarray):
+    """Read-only (N_out, taps) int64 index table; -1 where the cell is empty.
+
+    ``pairs[t]`` holds tap t's present entries as ``(out_rows, in_rows)``.
+    Anchors shifted by one offset stay distinct, so each column's are too.
+    """
+
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None  # views lack them
+
+
 @dataclass
 class Octree:
     """Per-depth sorted key arrays with parent/child index maps."""
@@ -80,6 +99,7 @@ class Octree:
     parent_index: list[np.ndarray | None]  # (N_l,) indices into keys[l-1]
     point_assignment: np.ndarray           # (P,) leaf index at max depth
     _coords: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _taps: dict[tuple[int, int, int], TapTable] = field(default_factory=dict, repr=False)
 
     def node_count(self, depth: int) -> int:
         self._check_depth(depth)
@@ -92,15 +112,34 @@ class Octree:
             self._coords[depth] = morton.decode_cells(self.keys[depth], depth)
         return self._coords[depth]
 
-    def find(self, depth: int, codes: np.ndarray) -> np.ndarray:
-        """Indices of ``codes`` in keys[depth]; -1 where the cell is empty."""
+    def tap_table(self, depth: int, kernel: int, stride: int) -> TapTable:
+        """Conv table into the depth-``depth`` nodes, built once. Stride 1 anchors
+        at those nodes; stride 2 at twice the coordinates of their parents."""
+        key = (depth, kernel, stride)
+        if key not in self._taps:
+            self._check_depth(depth)
+            if stride not in (1, 2) or depth < stride:
+                raise ValueError(f"stride {stride} is not 1, or 2 at depth >= 2")
+            anchors = stride * self.coords(depth + 1 - stride)  # stride 2: parents
+            table = self.neighbors(depth, anchors, kernel_offsets(kernel))
+            rows = [np.flatnonzero(col >= 0) for col in table.T]
+            pairs = tuple((r, col[r]) for r, col in zip(rows, table.T))
+            for arr in (table, *itertools.chain(*pairs)):
+                arr.setflags(write=False)
+            self._taps[key] = table = table.view(TapTable)
+            table.pairs = pairs
+        return self._taps[key]
+
+    def neighbors(self, depth: int, anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """(N, T) node indices at ``depth`` of ``anchors + offsets``; -1 where empty."""
         self._check_depth(depth)
-        keys = self.keys[depth]
-        codes = np.asarray(codes, dtype=np.uint64)
-        pos = np.searchsorted(keys, codes)
-        pos_c = np.minimum(pos, keys.shape[0] - 1)
-        found = keys[pos_c] == codes
-        return np.where(found, pos_c, -1).astype(np.int64)
+        cells = anchors[:, None, :] + offsets
+        inside = ((cells >= 0) & (cells < (1 << depth))).all(axis=2)
+        keys, codes = self.keys[depth], morton.encode_cells(cells[inside], depth)
+        pos = np.minimum(np.searchsorted(keys, codes), keys.shape[0] - 1)
+        table = np.full(inside.shape, -1, dtype=np.int64)
+        table[inside] = np.where(keys[pos] == codes, pos, -1)
+        return table
 
     def _check_depth(self, depth: int) -> None:
         if not 1 <= depth <= self.depth:
@@ -168,24 +207,6 @@ def init_leaf_features(
     np.add.at(sums, octree.point_assignment, signal)
     counts = np.bincount(octree.point_assignment, minlength=n_leaf).astype(np.float64)
     return Tensor(sums / counts[:, None])
-
-
-def neighbor_indices(
-    octree: Octree, depth: int, offsets: list[tuple[int, int, int]]
-) -> np.ndarray:
-    """Index matrix (N_depth, len(offsets)); -1 where the cell is empty."""
-    coords = octree.coords(depth)
-    n = coords.shape[0]
-    lim = 1 << depth
-    out = np.full((n, len(offsets)), -1, dtype=np.int64)
-    for j, off in enumerate(offsets):
-        shifted = coords + np.asarray(off, dtype=np.int64)
-        valid = ((shifted >= 0) & (shifted < lim)).all(axis=1)
-        if not valid.any():
-            continue
-        codes = morton.encode_cells(shifted[valid], depth)
-        out[valid, j] = octree.find(depth, codes)
-    return out
 
 
 def filter_and_pad_count(n: int, k: int, d: int) -> int:

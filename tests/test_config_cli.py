@@ -41,6 +41,57 @@ def test_config_range_checks():
         parse_run_config({"dataset": {"kind": "mnist"}})
 
 
+def test_config_value_types():
+    for bad in ({"training": {"steps": "ten"}}, {"training": {"lr": "fast"}},
+                {"training": {"steps": True}}, {"seed": 1.5},
+                {"network": {"blocks": [1, "2", 1, 1]}},
+                {"bench": {"sizes": 100}}, {"outputs": {"checkpoint": 3}},
+                {"training": [1, 2]}):
+        with pytest.raises(ConfigError, match="must be"):
+            parse_run_config(bad)
+    cfg = parse_run_config({"training": {"lr": 1, "steps": 2},
+                            "network": {"preset": None, "blocks": [1, 1, 1, 1]}})
+    assert cfg.training.lr == 1 and cfg.network.blocks == (1, 1, 1, 1)
+
+
+def test_config_bench_k_neighbors_within_sizes():
+    with pytest.raises(ConfigError, match="k_neighbors 64 exceeds size 20"):
+        parse_run_config({"bench": {"variants": ["knn"], "sizes": [100, 20],
+                                    "k_neighbors": 64}})
+    # without the knn variant the neighbour count is unused
+    parse_run_config({"bench": {"variants": ["octree"], "sizes": [20],
+                                "k_neighbors": 64}})
+
+
+def test_cli_bad_values_exit_2_with_one_line(tmp_path, capsys):
+    cases = {"train-toy": {"training": {"steps": "ten"}},
+             "bench": {"bench": {"variants": ["knn"], "sizes": [20],
+                                 "k_neighbors": 64}}}
+    for command, config in cases.items():
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, command, "--config", str(cfg_path))
+        assert code == cli.EXIT_DATA
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_segment_truncated_checkpoint_exits_2(tmp_path, capsys):
+    from octformer.network import NetworkConfig, init_model, save_checkpoint
+
+    ckpt = tmp_path / "m.ofck"
+    config = NetworkConfig(channels=8, blocks=(1, 1, 1, 1), point_number=8,
+                           num_classes=2, octree_depth=7, features=("position",))
+    save_checkpoint(str(ckpt), init_model(config, seed=0))
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
+    pts = tmp_path / "cloud.xyz"
+    pos = np.random.default_rng(3).random((50, 3))
+    pts.write_text("\n".join(" ".join(f"{v:.6f}" for v in p) for p in pos) + "\n")
+    code, _, err = run_cli(capsys, "segment", str(pts), "--ckpt", str(ckpt),
+                           "--out", str(tmp_path / "labels.txt"))
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "truncated checkpoint" in err
+
+
 def test_config_network_overrides():
     cfg = parse_run_config({"network": {"preset": "small",
                                         "num_classes": 5,

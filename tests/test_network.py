@@ -381,6 +381,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_truncated_or_unknown_tag_is_data_error(tmp_path):
+    path = tmp_path / "model.ofck"
+    save_checkpoint(str(path), init_model(tiny_config(), seed=0))
+    data = path.read_bytes()
+    cfg_end = 12 + int.from_bytes(data[8:12], "little")
+    name_end = cfg_end + 4 + int.from_bytes(data[cfg_end:cfg_end + 4], "little")
+    cuts = [5, 10, 12, cfg_end - 1, cfg_end + 2, name_end, name_end + 3,
+            name_end + 9, len(data) // 2, len(data) - 1]
+    for cut in cuts:
+        path.write_bytes(data[:cut])
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(str(path))
+    bad_tag = bytearray(data)
+    bad_tag[name_end] = 7
+    path.write_bytes(bytes(bad_tag))
+    with pytest.raises(DataError, match="dtype tag 7"):
+        load_checkpoint(str(path))
+
+
 # -- training -----------------------------------------------------------------------
 
 def test_named_tensors_cover_params_and_buffers():

@@ -87,20 +87,30 @@ def test_dense_grid_equivalence(kernel, stride, depthwise):
     assert np.abs(out - ref).max() < 1e-5
 
 
-def test_sparse_vs_dense_with_holes():
+VARIANTS = [(k, s, dw) for k in (3, 2) for s in (1, 2) for dw in (False, True)]
+
+
+def random_tree_and_weights(seed, kernel, depthwise, depth=3, n=40, c_in=3, c_out=2):
+    rng = np.random.default_rng(seed)
+    tree = build_octree(QuantizedCloud(rng.random((n, 3)), depth))
+    c_out = c_in if depthwise else c_out
+    w = rng.normal(size=(kernel**3, c_in) if depthwise else (kernel**3, c_in, c_out))
+    return rng, tree, w, c_out
+
+
+@pytest.mark.parametrize("kernel,stride,depthwise", VARIANTS)
+def test_sparse_vs_dense_with_holes(kernel, stride, depthwise):
     # sparse octree vs dense conv on the zero-filled grid: absent == zero
-    rng = np.random.default_rng(5)
+    rng, tree, w, c_out = random_tree_and_weights(5, kernel, depthwise)
     depth = 3
-    pos = rng.random((40, 3))
-    tree = build_octree(QuantizedCloud(pos, depth))
-    c = 2
-    w = rng.normal(size=(27, c, c))
-    spec = ConvSpec(3, 1, c, c, T.Tensor(w, np.float64))
-    x = rng.normal(size=(tree.node_count(depth), c))
+    spec = ConvSpec(kernel, stride, 3, c_out, T.Tensor(w, np.float64), depthwise)
+    x = rng.normal(size=(tree.node_count(depth), 3))
     out = octree_conv(T.Tensor(x, np.float64), tree, depth, spec).data
+    assert out.dtype == np.float64
     grid = grid_from_features(tree, depth, x)
-    ref = features_from_grid(tree, depth, dense_conv3d(grid, w, 3, 1, False))
-    assert np.abs(out - ref).max() < 1e-5
+    ref_grid = dense_conv3d(grid, w, kernel, stride, depthwise)
+    ref = features_from_grid(tree, depth + 1 - stride, ref_grid)
+    assert np.abs(out - ref).max() < 1e-10
 
 
 def test_locality():
@@ -120,57 +130,26 @@ def test_locality():
     assert changed[inside].any()
 
 
-def test_conv_gradcheck():
-    rng = np.random.default_rng(7)
-    pos = rng.random((25, 3))
-    tree = build_octree(QuantizedCloud(pos, 3))
-    n = tree.node_count(3)
-    c_in, c_out = 3, 2
-    w0 = rng.normal(size=(27, c_in, c_out))
-    x0 = rng.normal(size=(n, c_in))
-    target = rng.normal(size=(tree.node_count(3), c_out))
+@pytest.mark.parametrize("kernel,stride,depthwise", VARIANTS)
+def test_conv_gradcheck(kernel, stride, depthwise):
+    rng, tree, w0, c_out = random_tree_and_weights(7, kernel, depthwise, n=25)
+    x0 = rng.normal(size=(tree.node_count(3), 3))
+    target = rng.normal(size=(tree.node_count(4 - stride), c_out))
 
-    def run(xv, wv):
-        spec = ConvSpec(3, 1, c_in, c_out, T.Tensor(wv, np.float64))
-        out = octree_conv(T.Tensor(xv, np.float64), tree, 3, spec)
-        return out
-
-    with T.Tape() as tape:
-        spec = ConvSpec(3, 1, c_in, c_out, T.Tensor(w0, np.float64))
-        xt = T.Tensor(x0, np.float64)
+    def loss_of(xt, wt):
+        spec = ConvSpec(kernel, stride, 3, c_out, wt, depthwise)
         out = octree_conv(xt, tree, 3, spec)
-        loss = T.sum_(T.mul(out, T.Tensor(target, np.float64)))
-    T.backward(tape, loss)
-
-    fd_x = finite_difference(lambda v: float((run(v, w0).data * target).sum()), x0)
-    assert relative_error(tape.grad(xt), fd_x) < 1e-4
-    probes = rng.choice(w0.size, 25, replace=False)
-    fd_w = finite_difference(lambda v: float((run(x0, v).data * target).sum()),
-                             w0, samples=probes)
-    mask = ~np.isnan(fd_w)
-    assert relative_error(tape.grad(spec.weights)[mask], fd_w[mask]) < 1e-4
-
-
-def test_depthwise_stride2_gradcheck():
-    rng = np.random.default_rng(8)
-    pos = rng.random((30, 3))
-    tree = build_octree(QuantizedCloud(pos, 3))
-    c = 3
-    w0 = rng.normal(size=(8, c))
-    x0 = rng.normal(size=(tree.node_count(3), c))
-    target = rng.normal(size=(tree.node_count(2), c))
-
-    def out_of(xv, wv):
-        spec = ConvSpec(2, 2, c, c, T.Tensor(wv, np.float64), depthwise=True)
-        return octree_conv(T.Tensor(xv, np.float64), tree, 3, spec)
+        return T.sum_(T.mul(out, T.Tensor(target, np.float64)))
 
     with T.Tape() as tape:
-        spec = ConvSpec(2, 2, c, c, T.Tensor(w0, np.float64), depthwise=True)
-        xt = T.Tensor(x0, np.float64)
-        loss = T.sum_(T.mul(octree_conv(xt, tree, 3, spec), T.Tensor(target, np.float64)))
+        xt, wt = T.Tensor(x0, np.float64), T.Tensor(w0, np.float64)
+        loss = loss_of(xt, wt)
     T.backward(tape, loss)
-    fd = finite_difference(lambda v: float((out_of(v, w0).data * target).sum()), x0)
-    assert relative_error(tape.grad(xt), fd) < 1e-4
+
+    fd_x = finite_difference(lambda v: loss_of(T.Tensor(v), wt).item(), x0)
+    assert relative_error(tape.grad(xt), fd_x) < 1e-6
+    fd_w = finite_difference(lambda v: loss_of(xt, T.Tensor(v)).item(), w0)
+    assert relative_error(tape.grad(wt), fd_w) < 1e-6
 
 
 def test_embedding_structure():

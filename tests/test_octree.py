@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octformer import morton
 from octformer.errors import ConfigError, DataError
@@ -10,7 +14,6 @@ from octformer.octree import (
     filter_and_pad_count,
     init_leaf_features,
     load_octree_keys,
-    neighbor_indices,
 )
 
 from oracles import groupby_cell_mean
@@ -160,17 +163,15 @@ def test_neighbor_indices_identity_column():
     rng = np.random.default_rng(9)
     cloud = random_cloud(rng, n=100, depth=4)
     tree = build_octree(cloud)
-    idx = neighbor_indices(tree, 4, [(0, 0, 0)])
-    assert np.array_equal(idx[:, 0], np.arange(tree.node_count(4)))
+    idx = tree.tap_table(4, kernel=3, stride=1)
+    assert np.array_equal(idx[:, 13], np.arange(tree.node_count(4)))
 
 
 def test_neighbor_indices_isolated_node():
     cloud = QuantizedCloud(np.array([[0.5, 0.5, 0.5]]), 4)
     tree = build_octree(cloud)
-    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-               for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
-    idx = neighbor_indices(tree, 4, offsets)
-    assert (idx == -1).all()
+    idx = tree.tap_table(4, kernel=3, stride=1)
+    assert (np.delete(idx, 13, axis=1) == -1).all()  # every tap but the center
 
 
 def test_neighbor_indices_dense_grid_matches_dict():
@@ -178,7 +179,7 @@ def test_neighbor_indices_dense_grid_matches_dict():
     tree = build_octree(full_grid_cloud(depth))
     offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                for dz in (-1, 0, 1)]
-    idx = neighbor_indices(tree, depth, offsets)
+    idx = tree.tap_table(depth, kernel=3, stride=1)
     coords = tree.coords(depth)
     lookup = {tuple(c): i for i, c in enumerate(coords.tolist())}
     lim = 1 << depth
@@ -191,6 +192,44 @@ def test_neighbor_indices_dense_grid_matches_dict():
     interior = np.flatnonzero(
         ((coords > 0) & (coords < lim - 1)).all(axis=1))
     assert (idx[interior] >= 0).all()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(2, 5),
+       st.sampled_from([(3, 1), (2, 1), (3, 2), (2, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_tap_table_properties(seed, n, depth, kernel_stride):
+    kernel, stride = kernel_stride
+    tree = build_octree(QuantizedCloud(np.random.default_rng(seed).random((n, 3)), depth))
+    table = tree.tap_table(depth, kernel, stride)
+
+    lookup = {tuple(c): i for i, c in enumerate(tree.coords(depth).tolist())}
+    anchors = (stride * tree.coords(depth + 1 - stride)).tolist()
+    span = (-1, 0, 1) if kernel == 3 else (0, 1)
+    offsets = list(itertools.product(span, span, span))  # dz fastest
+    expect = [[lookup.get(tuple(a + o for a, o in zip(anchor, off)), -1)
+               for off in offsets] for anchor in anchors]
+    assert table.dtype == np.int64
+    assert np.array_equal(table, np.array(expect, dtype=np.int64).reshape(table.shape))
+
+    assert len(table.pairs) == len(offsets)
+    for t, (rows, cols) in enumerate(table.pairs):
+        present = table[:, t][table[:, t] >= 0]
+        assert np.unique(present).size == present.size  # backward relies on this
+        assert np.array_equal(rows, np.flatnonzero(table[:, t] >= 0))
+        assert np.array_equal(cols, present)
+
+    tree.neighbors = lambda *args: pytest.fail("cached tap table was rebuilt")
+    assert tree.tap_table(depth, kernel, stride) is table
+    for arr in (table, *table.pairs[0]):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+def test_tap_table_rejects_bad_footprint():
+    tree = build_octree(full_grid_cloud(2))
+    for depth, kernel, stride in ((2, 4, 1), (2, 3, 3), (1, 2, 2), (3, 3, 1)):
+        with pytest.raises(ValueError):
+            tree.tap_table(depth, kernel, stride)
 
 
 def test_filter_and_pad_count():
