@@ -35,7 +35,16 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        self.print_usage(sys.stderr)
         raise UsageError(message)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for sizes and counts that must be >= 1."""
+    value = int(text)
+    if value < 1:
+        raise UsageError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def _apply_threads(threads: int | None) -> None:
@@ -59,23 +68,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-octree", help="build and dump an octree")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=positive_int, required=True)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--dump", required=True)
 
     p = sub.add_parser("partition", help="dump a window partition as CSV")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--k", type=positive_int, required=True)
+    p.add_argument("--d", type=positive_int, default=1)
     p.add_argument("--csv", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("attend", help="run one transformer block, print a checksum")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=positive_int, default=8)
     p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--k", type=int, default=32)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--channels", type=int, default=32)
+    p.add_argument("--k", type=positive_int, default=32)
+    p.add_argument("--d", type=positive_int, default=1)
+    p.add_argument("--channels", type=positive_int, default=32)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("train-toy", help="overfit a tiny model on synthetic data")
@@ -149,8 +158,6 @@ def _cmd_train_toy(args) -> int:
     from .synthetic import two_spheres_dataset
 
     run = load_run_config(args.config)
-    if run.dataset.kind != "two-spheres":
-        raise UsageError("train-toy supports the two-spheres dataset")
     dataset = two_spheres_dataset(run.dataset.n_clouds,
                                   run.dataset.points_per_cloud,
                                   run.dataset.depth, run.dataset.seed)
@@ -225,22 +232,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _apply_threads(args.threads)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return EXIT_USAGE
 
     from .errors import ConfigError, DataError, NumericError, TrainingError
 
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataError, ConfigError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -18,28 +18,15 @@ from .network import NetworkConfig, OptimSettings, PRESETS
 
 
 @dataclass
-class OctreeSection:
-    depth: int = 8
-    scale: float | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.depth <= 21:
-            raise ConfigError("octree.depth must be in [1, 21]")
-        if self.scale is not None and self.scale <= 0:
-            raise ConfigError("octree.scale must be positive")
-
-
-@dataclass
 class DatasetSection:
     kind: str = "two-spheres"
     n_clouds: int = 5
     points_per_cloud: int = 2000
-    num_classes: int = 2
     depth: int = 7
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("two-spheres", "octants"):
+        if self.kind != "two-spheres":
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.n_clouds < 1 or self.points_per_cloud < 1:
             raise ConfigError("dataset sizes must be >= 1")
@@ -131,16 +118,11 @@ class BenchSection:
 class OutputSection:
     checkpoint: str | None = None
     loss_curve: str | None = None
-    labels: str | None = None
     bench_csv: str | None = None
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    threads: int | None = None
-    inputs: tuple[str, ...] = ()
-    octree: OctreeSection = field(default_factory=OctreeSection)
     dataset: DatasetSection = field(default_factory=DatasetSection)
     network: NetworkSection = field(default_factory=NetworkSection)
     training: TrainingSection = field(default_factory=TrainingSection)

@@ -16,20 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingError
-from .network import AdamW, BlockParams, LabeledCloud, OptimSettings, mlp_forward, trainable_parameters
-from .octree import build_octree, init_leaf_features
-from .partition import conditional_positional_encoding, make_plan, windowed_attention
-from .tensor import (
-    LinearParams,
-    Tape,
-    Tensor,
-    add,
-    apply_layer_norm,
-    backward,
-    cross_entropy,
-    gather_rows,
-    linear,
+from .network import (
+    AdamW,
+    BlockParams,
+    LabeledCloud,
+    OptimSettings,
+    octformer_block,
+    trainable_parameters,
 )
+from .octree import build_octree, init_leaf_features
+from .tensor import LinearParams, Tape, Tensor, backward, cross_entropy, gather_rows, linear
 
 
 @dataclass
@@ -60,14 +56,8 @@ def init_block_stack(in_channels: int, channels: int, num_blocks: int, heads: in
 def block_stack_logits(params: BlockStackParams, octree, feats: Tensor,
                        point_number: int, training: bool) -> Tensor:
     x = linear(feats, params.lift)
-    depth = octree.depth
-    n = octree.node_count(depth)
     for block in params.blocks:
-        if block.cpe is not None:
-            x = conditional_positional_encoding(x, octree, depth, block.cpe, training)
-        plan = make_plan(n, point_number, block.dilation)
-        x = add(x, windowed_attention(apply_layer_norm(x, block.ln1), plan, block.attn))
-        x = add(x, mlp_forward(apply_layer_norm(x, block.ln2), block.mlp))
+        x = octformer_block(x, octree, octree.depth, block, point_number, training)
     node_logits = linear(x, params.classifier)
     return gather_rows(node_logits, octree.point_assignment)
 

@@ -5,13 +5,12 @@ with x in the most significant slot of each triple, so integer order on
 keys is z-order on cells and the eight children of any node occupy one
 contiguous run of eight consecutive codes.
 
-Scalar operations work on :class:`Key` values; the ``*_cells`` functions
-are vectorized over numpy arrays for bulk octree construction.
+The library has one encoder: ``encode_cells`` / ``decode_cells``, vectorized
+over numpy arrays of cells. A parent key is the code shifted right by one
+triple. ``tests/oracles.py`` keeps a naive scalar reference for both.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,70 +29,6 @@ _S5 = _U(0x1249249249249249)
 def _check_depth(depth: int) -> None:
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
-
-
-@dataclass(frozen=True, slots=True)
-class Key:
-    """A shuffled key: interleaved-bit code plus the depth it lives at."""
-
-    code: int
-    depth: int
-
-    def __post_init__(self):
-        _check_depth(self.depth)
-        if not 0 <= self.code < 8**self.depth:
-            raise ValueError(
-                f"code {self.code} out of range for depth {self.depth}"
-            )
-
-
-def encode(x: int, y: int, z: int, depth: int) -> Key:
-    """Interleave coordinate bits into a shuffled key (x in the high slot)."""
-    _check_depth(depth)
-    lim = 1 << depth
-    if not (0 <= x < lim and 0 <= y < lim and 0 <= z < lim):
-        raise ValueError(f"coordinate ({x}, {y}, {z}) out of [0, {lim})")
-    code = 0
-    for j in range(depth):
-        code |= ((x >> j) & 1) << (3 * j + 2)
-        code |= ((y >> j) & 1) << (3 * j + 1)
-        code |= ((z >> j) & 1) << (3 * j)
-    return Key(code, depth)
-
-
-def decode(key: Key) -> tuple[int, int, int]:
-    """Exact inverse of :func:`encode`."""
-    x = y = z = 0
-    for j in range(key.depth):
-        x |= ((key.code >> (3 * j + 2)) & 1) << j
-        y |= ((key.code >> (3 * j + 1)) & 1) << j
-        z |= ((key.code >> (3 * j)) & 1) << j
-    return x, y, z
-
-
-def parent_key(key: Key) -> Key:
-    """Drop the lowest coordinate triple; depth decreases by one."""
-    if key.depth < 2:
-        raise ValueError("a depth-1 node has no parent at node level")
-    return Key(key.code >> 3, key.depth - 1)
-
-
-def child_keys(key: Key) -> list[Key]:
-    """The eight children: one contiguous code run at depth + 1."""
-    if key.depth >= MAX_DEPTH:
-        raise ValueError(f"children would exceed max depth {MAX_DEPTH}")
-    base = key.code << 3
-    return [Key(base + o, key.depth + 1) for o in range(8)]
-
-
-def neighbor_key(key: Key, dx: int, dy: int, dz: int) -> Key | None:
-    """Key of the cell offset by (dx, dy, dz); None when out of bounds."""
-    x, y, z = decode(key)
-    x, y, z = x + dx, y + dy, z + dz
-    lim = 1 << key.depth
-    if not (0 <= x < lim and 0 <= y < lim and 0 <= z < lim):
-        return None
-    return encode(x, y, z, key.depth)
 
 
 def _spread(v: np.ndarray) -> np.ndarray:

@@ -136,7 +136,7 @@ class MlpParams:
 
 @dataclass
 class BlockParams:
-    cpe: CpeParams
+    cpe: CpeParams | None  # None: no positional encoding (ablation)
     ln1: LayerNormParams
     attn: AttentionParams
     ln2: LayerNormParams
@@ -269,11 +269,13 @@ def mlp_forward(x: Tensor, mlp: MlpParams) -> Tensor:
 
 def octformer_block(x: Tensor, octree: Octree, depth: int, block: BlockParams,
                     point_number: int, training: bool) -> Tensor:
-    """CPE, then pre-norm attention and pre-norm MLP with residuals."""
+    """CPE (skipped when ``block.cpe`` is None), then pre-norm attention and
+    pre-norm MLP with residuals."""
     n = octree.node_count(depth)
     if x.shape[0] != n:
         raise ShapeError(f"x has {x.shape[0]} rows, depth {depth} has {n} nodes")
-    x = conditional_positional_encoding(x, octree, depth, block.cpe, training)
+    if block.cpe is not None:
+        x = conditional_positional_encoding(x, octree, depth, block.cpe, training)
     plan = make_plan(n, point_number, block.dilation)
     attn_out = windowed_attention(apply_layer_norm(x, block.ln1), plan, block.attn)
     x = add(x, attn_out)

@@ -8,6 +8,7 @@ the result is a pure function of the occupied cell set.
 
 from __future__ import annotations
 
+import io
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -231,17 +232,25 @@ def dump_octree(octree: Octree, path: str) -> None:
 def load_octree_keys(path: str) -> tuple[int, list[np.ndarray | None]]:
     """Read a binary octree dump; returns (depth, keys-by-depth)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != OCTREE_MAGIC:
-            raise DataError(f"bad octree magic {magic!r}")
-        version, depth = struct.unpack("<II", f.read(8))
-        if version != OCTREE_VERSION:
-            raise DataError(f"unsupported octree version {version}")
-        keys: list[np.ndarray | None] = [None] * (depth + 1)
-        for level in range(1, depth + 1):
-            (count,) = struct.unpack("<Q", f.read(8))
-            raw = f.read(8 * count)
-            if len(raw) != 8 * count:
-                raise DataError("truncated octree dump")
-            keys[level] = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
+        buf = io.BytesIO(f.read())
+
+    def read(n: int, fmt: str | None = None):
+        """Exactly ``n`` bytes, unpacked with ``fmt`` if given."""
+        raw = buf.read(n)
+        if len(raw) != n:
+            raise DataError(f"{path}: truncated octree dump")
+        return struct.unpack(fmt, raw) if fmt else raw
+
+    magic = buf.read(4)
+    if magic != OCTREE_MAGIC:
+        raise DataError(f"bad octree magic {magic!r}")
+    version, depth = read(8, "<II")
+    if version != OCTREE_VERSION:
+        raise DataError(f"unsupported octree version {version}")
+    if not 1 <= depth <= morton.MAX_DEPTH:
+        raise DataError(f"{path}: octree depth {depth} out of [1, {morton.MAX_DEPTH}]")
+    keys: list[np.ndarray | None] = [None] * (depth + 1)
+    for level in range(1, depth + 1):
+        (count,) = read(8, "<Q")
+        keys[level] = np.frombuffer(read(8 * count), dtype="<u8").astype(np.uint64)
     return depth, keys

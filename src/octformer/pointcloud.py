@@ -1,4 +1,4 @@
-"""ASCII point-cloud readers/writers, normalization, and augmentation.
+"""ASCII point-cloud readers/writers and normalization into the unit cube.
 
 Supported formats: whitespace-separated XYZ lines (``x y z [r g b]
 [nx ny nz]``, colors as floats in [0, 1]) and ASCII PLY with the same
@@ -7,7 +7,6 @@ properties (uchar color properties are rescaled from [0, 255]).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,38 +190,3 @@ def normalize_cloud(raw: RawCloud, depth: int,
 def load_point_cloud(path: str, depth: int,
                      scale: float | None = None) -> QuantizedCloud:
     return normalize_cloud(read_points(path), depth, scale)
-
-
-@dataclass
-class AugmentConfig:
-    rotation_deg: tuple[float, float] = (-180.0, 180.0)
-    scale: tuple[float, float] = (0.75, 1.25)
-    translation: tuple[float, float] = (-0.1, 0.1)
-
-    def __post_init__(self):
-        for lo, hi in (self.rotation_deg, self.scale, self.translation):
-            if hi < lo:
-                raise ConfigError("augment ranges must satisfy lo <= hi")
-        if self.scale[0] <= 0:
-            raise ConfigError("scale range must be positive")
-
-
-def augment(cloud: QuantizedCloud, ops: AugmentConfig, seed: int) -> QuantizedCloud:
-    """Random upright-axis rotation, uniform scale, and translation.
-
-    Transforms act about the cube center; normals rotate with positions;
-    results are clamped back into [0, 1)^3. Deterministic per seed.
-    """
-    rng = np.random.default_rng(seed)
-    angle = math.radians(rng.uniform(*ops.rotation_deg))
-    factor = rng.uniform(*ops.scale)
-    shift = rng.uniform(ops.translation[0], ops.translation[1], size=3)
-
-    c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    center = np.full(3, 0.5)
-    pos = (cloud.positions - center) @ rot.T * factor + center + shift
-    pos = np.clip(pos, 0.0, np.nextafter(1.0, 0.0))
-    normals = cloud.normals @ rot.T if cloud.normals is not None else None
-    return QuantizedCloud(pos, cloud.depth, colors=cloud.colors, normals=normals,
-                          origin=cloud.origin, scale=cloud.scale)

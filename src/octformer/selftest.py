@@ -3,7 +3,9 @@
 Each check recomputes the expected answer with a deliberately naive
 reference (dense arrays, explicit loops, 64-bit) and compares against the
 library path. Output is deterministic: names and pass/fail only, no
-timings, so two runs of `selftest` are byte-identical.
+timings, so two runs of `selftest` are byte-identical. The dense attention
+and convolution references here are the only copies; the pytest oracles
+import them from this module.
 """
 
 from __future__ import annotations
@@ -17,29 +19,83 @@ from .partition import AttentionParams, make_plan, windowed_attention
 from .octconv import ConvSpec, octree_conv
 
 
-def _dense_reference_attention(x, params, window_id):
+def dense_masked_attention(
+    x: np.ndarray,
+    w_q: np.ndarray,
+    w_k: np.ndarray,
+    w_v: np.ndarray,
+    w_o: np.ndarray,
+    heads: int,
+    window_id: np.ndarray,
+) -> np.ndarray:
+    """Full N x N multi-head attention where (i, j) may attend iff they
+    share a window; everything computed at 64-bit."""
+    x = x.astype(np.float64)
     n, c = x.shape
-    h = params.heads
-    dh = params.head_dim
-    q = (x @ params.w_q.data).reshape(n, h, dh)
-    k = (x @ params.w_k.data).reshape(n, h, dh)
-    v = (x @ params.w_v.data).reshape(n, h, dh)
+    proj = w_q.shape[1]
+    dh = proj // heads
+    q = (x @ w_q.astype(np.float64)).reshape(n, heads, dh)
+    k = (x @ w_k.astype(np.float64)).reshape(n, heads, dh)
+    v = (x @ w_v.astype(np.float64)).reshape(n, heads, dh)
     allowed = window_id[:, None] == window_id[None, :]
-    ctx = np.zeros((n, h, dh))
-    for head in range(h):
-        logits = q[:, head] @ k[:, head].T / np.sqrt(dh)
+    ctx = np.zeros((n, heads, dh))
+    for h in range(heads):
+        logits = (q[:, h] @ k[:, h].T) / np.sqrt(dh)
         logits = np.where(allowed, logits, -np.inf)
         logits -= logits.max(axis=1, keepdims=True)
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
-        ctx[:, head] = w @ v[:, head]
-    return ctx.reshape(n, h * dh) @ params.w_o.data
+        ctx[:, h] = w @ v[:, h]
+    return ctx.reshape(n, heads * dh) @ w_o.astype(np.float64)
+
+
+def dense_conv3d(
+    grid: np.ndarray, weights: np.ndarray, kernel: int, stride: int,
+    depthwise: bool,
+) -> np.ndarray:
+    """Dense zero-padded 3D convolution on a full (S,S,S,Cin) grid.
+
+    Tap order matches the library: offsets in product order, dz fastest.
+    Kernel 3 ranges over {-1,0,1}, kernel 2 over {0,1}; stride 2 anchors
+    at even coordinates and halves the resolution.
+    """
+    s = grid.shape[0]
+    c_in = grid.shape[3]
+    offs = [-1, 0, 1] if kernel == 3 else [0, 1]
+    out_s = s if stride == 1 else s // 2
+    c_out = c_in if depthwise else weights.shape[2]
+    out = np.zeros((out_s, out_s, out_s, c_out), dtype=np.float64)
+    tap = 0
+    for dx in offs:
+        for dy in offs:
+            for dz in offs:
+                w = weights[tap]
+                tap += 1
+                for ox in range(out_s):
+                    ix = ox * stride + dx
+                    if not 0 <= ix < s:
+                        continue
+                    for oy in range(out_s):
+                        iy = oy * stride + dy
+                        if not 0 <= iy < s:
+                            continue
+                        for oz in range(out_s):
+                            iz = oz * stride + dz
+                            if not 0 <= iz < s:
+                                continue
+                            v = grid[ix, iy, iz].astype(np.float64)
+                            if depthwise:
+                                out[ox, oy, oz] += v * w
+                            else:
+                                out[ox, oy, oz] += v @ w
+    return out
 
 
 def check_morton() -> bool:
-    if morton.encode(3, 1, 2, 2).code != 46:
+    # x=11b, y=01b, z=10b -> 101110b; the parent cell (1, 0, 1) is 46 >> 3
+    if morton.encode_cells([[3, 1, 2]], 2)[0] != 46:
         return False
-    if morton.parent_key(morton.Key(46, 2)) != morton.Key(5, 1):
+    if morton.encode_cells([[1, 0, 1]], 1)[0] != 46 >> 3:
         return False
     rng = np.random.default_rng(101)
     for depth in (1, 7, 21):
@@ -96,8 +152,9 @@ def check_attention_oracle() -> bool:
         x = rng.normal(size=(n, c))
         plan = make_plan(n, k, d)
         got = windowed_attention(T.Tensor(x, np.float64), plan, params).data
-        ref = _dense_reference_attention(x, params,
-                                         plan.window_of_position()[:n])
+        ref = dense_masked_attention(x, params.w_q.data, params.w_k.data,
+                                     params.w_v.data, params.w_o.data, h,
+                                     plan.window_of_position()[:n])
         if np.abs(got - ref).max() >= 1e-10:
             return False
     return True
@@ -118,26 +175,11 @@ def check_conv_oracle() -> bool:
     grid[coords[:, 0], coords[:, 1], coords[:, 2]] = x
 
     for kernel, stride in ((3, 1), (2, 2)):
-        taps = kernel**3
-        w = rng.normal(size=(taps, c, c))
+        w = rng.normal(size=(kernel**3, c, c))
         spec = ConvSpec(kernel, stride, c, c, T.Tensor(w, np.float64))
         got = octree_conv(T.Tensor(x, np.float64), tree, depth, spec).data
-        offs = [-1, 0, 1] if kernel == 3 else [0, 1]
-        out_s = lim // stride
-        ref_grid = np.zeros((out_s, out_s, out_s, c))
-        tap = 0
-        for dx in offs:
-            for dy in offs:
-                for dz in offs:
-                    for ox in range(out_s):
-                        for oy in range(out_s):
-                            for oz in range(out_s):
-                                ix, iy, iz = ox * stride + dx, oy * stride + dy, oz * stride + dz
-                                if 0 <= ix < lim and 0 <= iy < lim and 0 <= iz < lim:
-                                    ref_grid[ox, oy, oz] += grid[ix, iy, iz] @ w[tap]
-                    tap += 1
-        out_depth = depth if stride == 1 else depth - 1
-        out_coords = tree.coords(out_depth)
+        out_coords = tree.coords(depth if stride == 1 else depth - 1)
+        ref_grid = dense_conv3d(grid, w, kernel, stride, depthwise=False)
         ref = ref_grid[out_coords[:, 0], out_coords[:, 1], out_coords[:, 2]]
         if np.abs(got - ref).max() >= 1e-5:
             return False

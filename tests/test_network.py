@@ -29,7 +29,7 @@ from octformer.network import (
 from octformer.octree import QuantizedCloud, build_octree, init_leaf_features
 from octformer.synthetic import two_spheres_dataset
 
-from oracles import finite_difference, finite_difference_filtered, grads_close
+from oracles import finite_difference_filtered, grads_close
 
 
 TINY = dict(channels=16, blocks=(1, 1, 1, 1), point_number=8, dilation=2,
@@ -328,7 +328,7 @@ def test_far_point_outside_receptive_field_leaves_logits_unchanged():
     blob = 0.01 * rng.normal(size=(4, 3))
     clusters = []
     for code in range(41):  # depth-2 cells 0..40 in z-order
-        cx = np.array(morton.decode(morton.Key(code, 2)))
+        cx = morton.decode_cells(code, 2)
         center = (cx + 0.5) / 4.0
         clusters.append(np.clip(center + blob, 0.0, np.nextafter(1.0, 0.0)))
     far = np.array([[0.97, 0.97, 0.97]])  # depth-2 cell (3,3,3), code 63

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from octformer.errors import ConfigError, DataError
+from octformer.errors import DataError
 from octformer.octree import QuantizedCloud
 from octformer.pointcloud import (
-    AugmentConfig,
     RawCloud,
-    augment,
     load_point_cloud,
     normalize_cloud,
     read_points,
@@ -119,60 +117,3 @@ def test_load_point_cloud(tmp_path):
     cloud = load_point_cloud(str(p), depth=5)
     assert isinstance(cloud, QuantizedCloud)
     assert cloud.num_points == 3
-
-
-def test_augment_identity_ranges():
-    rng = np.random.default_rng(2)
-    cloud = QuantizedCloud(rng.random((40, 3)) * 0.8 + 0.1, 5)
-    ops = AugmentConfig(rotation_deg=(0, 0), scale=(1, 1), translation=(0, 0))
-    out = augment(cloud, ops, seed=0)
-    assert np.allclose(out.positions, cloud.positions, atol=1e-12)
-
-
-def test_augment_quarter_turn():
-    center = np.full(3, 0.5)
-    cloud = QuantizedCloud(np.array([center + [0.3, 0, 0], center]), 5)
-    ops = AugmentConfig(rotation_deg=(90, 90), scale=(1, 1), translation=(0, 0))
-    out = augment(cloud, ops, seed=1)
-    assert np.allclose(out.positions[0] - center, [0, 0.3, 0], atol=1e-6)
-    assert np.allclose(out.positions[1], center, atol=1e-12)
-
-
-def test_augment_rotates_normals_with_positions():
-    center = np.full(3, 0.5)
-    cloud = QuantizedCloud(np.array([center + [0.2, 0, 0]]), 5,
-                           normals=np.array([[1.0, 0.0, 0.0]]))
-    ops = AugmentConfig(rotation_deg=(90, 90), scale=(1, 1), translation=(0, 0))
-    out = augment(cloud, ops, seed=2)
-    assert np.allclose(out.normals[0], [0, 1, 0], atol=1e-6)
-    assert np.allclose(np.linalg.norm(out.normals, axis=1), 1.0)
-
-
-def test_augment_scale_preserves_distance_ratios():
-    rng = np.random.default_rng(3)
-    pos = rng.random((20, 3)) * 0.4 + 0.3
-    cloud = QuantizedCloud(pos, 5)
-    ops = AugmentConfig(rotation_deg=(-180, 180), scale=(0.75, 1.25),
-                        translation=(0, 0))
-    out = augment(cloud, ops, seed=4)
-    d_in = np.linalg.norm(pos[1:] - pos[0], axis=1)
-    d_out = np.linalg.norm(out.positions[1:] - out.positions[0], axis=1)
-    ratios = d_out / d_in
-    assert ratios.max() - ratios.min() < 1e-9
-
-
-def test_augment_deterministic_and_clamped():
-    rng = np.random.default_rng(5)
-    cloud = QuantizedCloud(rng.random((100, 3)), 5)
-    ops = AugmentConfig()
-    a = augment(cloud, ops, seed=6)
-    b = augment(cloud, ops, seed=6)
-    assert np.array_equal(a.positions, b.positions)
-    assert a.positions.min() >= 0 and a.positions.max() < 1
-
-
-def test_augment_config_validation():
-    with pytest.raises(ConfigError):
-        AugmentConfig(scale=(1.5, 0.5))
-    with pytest.raises(ConfigError):
-        AugmentConfig(scale=(-1.0, 1.0))
