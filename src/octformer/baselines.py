@@ -155,8 +155,7 @@ def knn_indices(octree: Octree, depth: int, k: int,
 
 
 def knn_sliding_attention(x: Tensor, octree: Octree, depth: int, k_neighbors: int,
-                          params: AttentionParams, chunk: int = 8192,
-                          neighbors: np.ndarray | None = None) -> Tensor:
+                          params: AttentionParams, chunk: int = 8192) -> Tensor:
     """Per-token attention over its k nearest nodes, recomputed per token.
 
     Deliberately shares no computation between overlapping neighborhoods;
@@ -166,8 +165,7 @@ def knn_sliding_attention(x: Tensor, octree: Octree, depth: int, k_neighbors: in
     n = x.shape[0]
     if x.shape[0] != octree.node_count(depth):
         raise ShapeError("x rows must match the node count at depth")
-    if neighbors is None:
-        neighbors = knn_indices(octree, depth, k_neighbors)
+    neighbors = knn_indices(octree, depth, k_neighbors)
     heads, dh = params.heads, params.head_dim
     proj = heads * dh
     out = np.empty((n, params.w_o.shape[1]), dtype=x.dtype)

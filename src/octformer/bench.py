@@ -21,7 +21,6 @@ from .baselines import (
     cubic_partition,
     cubic_window_attention,
     global_attention,
-    knn_indices,
     knn_sliding_attention,
 )
 from .errors import ConfigError
@@ -38,14 +37,12 @@ class BenchSettings:
     channels: int = 96
     heads: int = 6
     point_number: int = 32
-    dilation: int = 1
     k_neighbors: int = 32
     cubic_window: int = 6
     depth: int | None = None  # None: per-size depth keeping surfaces dense
     trials: int = 3
     warmup: int = 2
     seed: int = 0
-    include_knn_search: bool = True
 
     def __post_init__(self):
         if self.trials < 1 or self.warmup < 0:
@@ -74,20 +71,15 @@ def _make_runner(variant: str, n: int, cfg: BenchSettings):
 
     if variant == "octree":
         def run():
-            plan = make_plan(n, cfg.point_number, cfg.dilation)
+            plan = make_plan(n, cfg.point_number, 1)
             return windowed_attention(x, plan, params)
     elif variant == "cubic":
         def run():
             part = cubic_partition(octree, depth, cfg.cubic_window)
             return cubic_window_attention(x, part, params)
     elif variant == "knn":
-        cached = None
-        if not cfg.include_knn_search:
-            cached = knn_indices(octree, depth, cfg.k_neighbors)
-
         def run():
-            return knn_sliding_attention(x, octree, depth, cfg.k_neighbors,
-                                         params, neighbors=cached)
+            return knn_sliding_attention(x, octree, depth, cfg.k_neighbors, params)
     elif variant == "global":
         if n > GLOBAL_ATTENTION_GUARD:
             raise ConfigError(

@@ -39,12 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise UsageError(f"expected an integer >= {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """argparse type for sizes and counts that must be >= 1."""
-    value = int(text)
-    if value < 1:
-        raise UsageError(f"expected an integer >= 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for token counts and seeds that must be >= 0."""
+    return _int_at_least(text, 0)
 
 
 def _apply_threads(threads: int | None) -> None:
@@ -73,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", required=True)
 
     p = sub.add_parser("partition", help="dump a window partition as CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=non_negative_int, required=True)
     p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--d", type=positive_int, default=1)
     p.add_argument("--csv", default=None, help="output path (default stdout)")
@@ -85,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=positive_int, default=32)
     p.add_argument("--d", type=positive_int, default=1)
     p.add_argument("--channels", type=positive_int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
 
     p = sub.add_parser("train-toy", help="overfit a tiny model on synthetic data")
     p.add_argument("--config", required=True)

@@ -24,7 +24,7 @@ from .tensor import (
     as_tensor,
     assert_finite,
     batch_norm,
-    gather_rows,
+    from_op,
     matmul,
     mul,
     reshape,
@@ -38,36 +38,41 @@ from .tensor import (
 class PartitionPlan:
     """Reversible pad + regroup of N tokens into B windows of exactly K.
 
-    ``layout`` maps each padded-sequence position p to its flat window
-    slot w*k + s; it is a bijection on [0, padded). ``mask`` marks the
-    padded positions (sequence order). For d == 1 the layout is the
-    identity, i.e. plain chunking.
+    Padded-sequence position ``span*k*d + i*d + j`` (0 <= i < k, 0 <= j < d)
+    lands in window ``span*d + j``, slot ``i``: reshape to (spans, k, d),
+    swap the last two axes, reshape to (b, k). For d == 1 this is plain
+    chunking. Positions >= n are padding.
     """
 
     n: int
     k: int
     d: int
     padded: int
-    b: int
-    mask: np.ndarray
-    layout: np.ndarray
+
+    @property
+    def b(self) -> int:
+        return self.padded // self.k
+
+    def to_windows(self, a: np.ndarray) -> np.ndarray:
+        """(rows <= padded, ...) -> (b, k, ...); missing rows become zeros."""
+        a = np.pad(a, [(0, self.padded - a.shape[0])] + [(0, 0)] * (a.ndim - 1))
+        tail = a.shape[1:]
+        grouped = a.reshape((-1, self.k, self.d) + tail).swapaxes(1, 2)
+        return grouped.reshape((self.b, self.k) + tail)
+
+    def from_windows(self, a: np.ndarray) -> np.ndarray:
+        """(b, k, ...) -> (padded, ...); the inverse of :meth:`to_windows`."""
+        tail = a.shape[2:]
+        grouped = a.reshape((-1, self.d, self.k) + tail).swapaxes(1, 2)
+        return grouped.reshape((self.padded,) + tail)
 
     def window_sources(self) -> np.ndarray:
         """For each flat window slot, the sequence position feeding it."""
-        return np.argsort(self.layout, kind="stable")
-
-    def gather_index(self) -> np.ndarray:
-        """Sources with padded positions replaced by the -1 sentinel."""
-        src = self.window_sources()
-        return np.where(src < self.n, src, -1)
-
-    def pad_by_slot(self) -> np.ndarray:
-        """(b, k) boolean: which window slots hold padding."""
-        return (self.window_sources() >= self.n).reshape(self.b, self.k)
+        return self.to_windows(np.arange(self.padded)).reshape(-1)
 
     def window_of_position(self) -> np.ndarray:
         """Window id of every padded-sequence position."""
-        return self.layout // self.k
+        return self.from_windows(np.arange(self.padded).reshape(self.b, self.k) // self.k)
 
 
 def make_plan(n: int, k: int, d: int, padded: int | None = None) -> PartitionPlan:
@@ -84,14 +89,7 @@ def make_plan(n: int, k: int, d: int, padded: int | None = None) -> PartitionPla
         padded = minimal
     elif padded < minimal or padded % (k * d) != 0:
         raise ValueError(f"padded must be a multiple of {k * d} and >= {minimal}")
-    p = np.arange(padded, dtype=np.int64)
-    span = p // (k * d)
-    i = (p % (k * d)) // d
-    j = p % d
-    layout = (span * d + j) * k + i
-    mask = p >= n
-    return PartitionPlan(n=n, k=k, d=d, padded=padded, b=padded // k,
-                         mask=mask, layout=layout)
+    return PartitionPlan(n=n, k=k, d=d, padded=padded)
 
 
 def apply_plan(x: Tensor, plan: PartitionPlan) -> Tensor:
@@ -99,17 +97,17 @@ def apply_plan(x: Tensor, plan: PartitionPlan) -> Tensor:
     x = as_tensor(x)
     if x.shape[0] != plan.n:
         raise ShapeError(f"x has {x.shape[0]} rows, plan expects {plan.n}")
-    windows = gather_rows(x, plan.gather_index())
-    return reshape(windows, (plan.b, plan.k, x.shape[1]))
+    return from_op(plan.to_windows(x.data), (x,),
+                   lambda g: (plan.from_windows(g)[: plan.n],))
 
 
 def reverse_plan(y: Tensor, plan: PartitionPlan) -> Tensor:
-    """(B, K, C) -> (N, C): invert the layout, drop the padded rows."""
+    """(B, K, C) -> (N, C): undo the regroup, drop the padded rows."""
     y = as_tensor(y)
     if y.shape[:2] != (plan.b, plan.k):
         raise ShapeError(f"y has shape {y.shape}, plan expects ({plan.b}, {plan.k}, C)")
-    flat = reshape(y, (plan.padded, y.shape[2]))
-    return gather_rows(flat, plan.layout[: plan.n])
+    return from_op(plan.from_windows(y.data)[: plan.n], (y,),
+                   lambda g: (plan.to_windows(g),))
 
 
 @dataclass
@@ -148,8 +146,7 @@ def windowed_attention(x: Tensor, plan: PartitionPlan,
     """Masked multi-head self-attention within each window of the plan.
 
     Padded keys get an additive -1e9 logit (excluded from the softmax up
-    to underflow); padded query rows are zeroed and then dropped by the
-    reverse partition.
+    to underflow); padded query rows are dropped by the reverse partition.
     """
     x = as_tensor(x)
     if x.shape[0] != plan.n:
@@ -170,15 +167,13 @@ def windowed_attention(x: Tensor, plan: PartitionPlan,
 
     q = mul(q, 1.0 / np.sqrt(dh))
     scores = matmul(q, transpose(key, (0, 1, 3, 2)))    # (B, H, K, K)
-    pad = plan.pad_by_slot()
+    pad = (plan.window_sources() >= plan.n).reshape(b, k)
     bias = np.where(pad[:, None, None, :], MASK_LOGIT, 0.0).astype(x.dtype)
     attn = softmax(add(scores, Tensor(bias)), axis=-1)
 
     ctx = matmul(attn, val)                             # (B, H, K, dh)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b * k, h * dh))
     out = reshape(matmul(ctx, params.w_o), (b, k, x.shape[1]))
-    real = (~pad)[:, :, None].astype(x.dtype)
-    out = mul(out, Tensor(real))                        # zero the padded rows
     return reverse_plan(out, plan)
 
 

@@ -172,8 +172,8 @@ def normalize_cloud(raw: RawCloud, depth: int,
         extent = extent if extent > 0 else 1.0
         unit = (pos - origin) / (extent * (1 + 1e-9))
     else:
-        if scale <= 0:
-            raise ConfigError("scale must be positive")
+        if not (np.isfinite(scale) and scale > 0):
+            raise ConfigError(f"scale must be a finite positive number, got {scale}")
         span = scale * (1 << depth)
         unit = (pos - origin) / span
         if unit.max() >= 1.0:

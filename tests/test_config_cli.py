@@ -151,6 +151,8 @@ def test_cli_usage_error(capsys):
     ["attend", "{cloud}", "--channels", "0"],
     ["attend", "{cloud}", "--depth", "0"],
     ["build-octree", "{cloud}", "--depth", "-3", "--dump", "{cloud}.octf"],
+    ["partition", "--n", "-3", "--k", "4"],
+    ["attend", "{cloud}", "--seed", "-1"],
 ])
 def test_cli_non_positive_sizes_exit_1_with_one_line(tmp_path, capsys, argv):
     cloud = tmp_path / "pts.xyz"
@@ -159,6 +161,17 @@ def test_cli_non_positive_sizes_exit_1_with_one_line(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *[a.format(cloud=cloud) for a in argv])
     assert code == cli.EXIT_USAGE and out == ""
     assert err.count("\n") == 1 and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_cli_bad_scale_exits_2_with_one_line(tmp_path, capsys, scale):
+    cloud = tmp_path / "pts.xyz"
+    cloud.write_text("\n".join(" ".join(f"{v:.6f}" for v in row)
+                               for row in np.random.default_rng(5).random((60, 3))))
+    code, out, err = run_cli(capsys, "build-octree", str(cloud), "--depth", "5",
+                             "--scale", scale, "--dump", str(tmp_path / "t.octf"))
+    assert code == cli.EXIT_DATA and out == ""
+    assert err.count("\n") == 1 and "scale must be a finite positive number" in err
 
 
 def test_cli_partition_golden_28_7_1(capsys):

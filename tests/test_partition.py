@@ -18,7 +18,13 @@ from octformer.partition import (
     windowed_attention,
 )
 
-from oracles import dense_masked_attention, finite_difference, interleave2d, relative_error
+from oracles import (
+    dense_masked_attention,
+    finite_difference,
+    gradcheck,
+    interleave2d,
+    relative_error,
+)
 
 
 def random_attention(channels, heads, seed, dtype=np.float32):
@@ -31,8 +37,8 @@ def random_attention(channels, heads, seed, dtype=np.float32):
 def test_plan_28_7_1_consecutive_runs():
     plan = make_plan(28, 7, 1)
     assert plan.b == 4 and plan.padded == 28
-    assert not plan.mask.any()
     src = plan.window_sources().reshape(4, 7)
+    assert not (src >= plan.n).any()
     for w in range(4):
         assert src[w].tolist() == list(range(w * 7, (w + 1) * 7))
 
@@ -50,15 +56,16 @@ def test_plan_28_7_2_interleaved():
 def test_plan_5_4_2_hand_case():
     plan = make_plan(5, 4, 2)
     assert plan.padded == 8
-    assert plan.mask.tolist() == [False] * 5 + [True] * 3
     src = plan.window_sources().reshape(2, 4)
+    assert sorted(src[src >= plan.n].tolist()) == [5, 6, 7]
     assert src[0].tolist() == [0, 2, 4, 6]
     assert src[1].tolist() == [1, 3, 5, 7]
 
 
 def test_plan_identity_layout_for_d1():
     plan = make_plan(40, 8, 1)
-    assert np.array_equal(plan.layout, np.arange(40))
+    assert np.array_equal(plan.window_sources(), np.arange(40))
+    assert np.array_equal(plan.window_of_position(), np.arange(40) // 8)
 
 
 @given(st.integers(0, 300), st.integers(1, 33), st.integers(1, 6))
@@ -67,10 +74,13 @@ def test_plan_invariants(n, k, d):
     plan = make_plan(n, k, d)
     assert plan.b * plan.k == plan.padded
     assert plan.padded - n < k * d
-    assert sorted(plan.layout.tolist()) == list(range(plan.padded))
-    assert plan.mask.sum() == plan.padded - n
+    flat = plan.window_sources()
+    assert sorted(flat.tolist()) == list(range(plan.padded))
+    assert (flat >= n).sum() == plan.padded - n
+    # window_of_position inverts window_sources
+    assert np.array_equal(plan.window_of_position()[flat], np.arange(plan.padded) // k)
     # real tokens in each window appear in increasing sequence order
-    src = plan.window_sources().reshape(plan.b, plan.k)
+    src = flat.reshape(plan.b, plan.k)
     for w in range(plan.b):
         real = src[w][src[w] < n]
         assert (np.diff(real) > 0).all()
@@ -132,18 +142,33 @@ def test_apply_reverse_round_trip():
         assert np.array_equal(back, x)
 
 
-def test_apply_matches_index_loop():
-    r = np.random.default_rng(2)
-    n, k, d = 23, 4, 3
-    x = r.normal(size=(n, 5))
-    plan = make_plan(n, k, d)
+@given(st.integers(0, 120), st.integers(1, 9), st.integers(1, 5), st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_apply_matches_index_loop(n, k, d, extra):
+    # position span*k*d + i*d + j lands in window span*d + j, slot i
+    x = np.random.default_rng(n).normal(size=(n, 5))
+    plan = make_plan(n, k, d, padded=make_plan(n, k, d).padded + extra * k * d)
     out = apply_plan(T.Tensor(x, np.float64), plan).data
-    inv = np.argsort(plan.layout)
-    for w in range(plan.b):
-        for s in range(k):
-            p = inv[w * k + s]
-            expect = x[p] if p < n else np.zeros(5)
-            assert np.allclose(out[w, s], expect)
+    src = plan.window_sources()
+    expect = np.zeros((plan.b, k, 5))
+    for p in range(plan.padded):
+        span, rem = divmod(p, k * d)
+        i, j = divmod(rem, d)
+        w = span * d + j
+        assert src[w * k + i] == p
+        if p < n:
+            expect[w, i] = x[p]
+    assert out.dtype == np.float64 and np.array_equal(out, expect)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_regroup_gradcheck(d):
+    n, k, c = 10, 4, 3
+    plan = make_plan(n, k, d, padded=make_plan(n, k, d).padded + 2 * k * d)
+    gradcheck(lambda xs: T.sum_(T.mul(apply_plan(xs[0], plan), xs[1])),
+              [(n, c), (plan.b, k, c)])
+    gradcheck(lambda xs: T.sum_(T.mul(reverse_plan(xs[0], plan), xs[1])),
+              [(plan.b, k, c), (n, c)])
 
 
 def test_reverse_all_ones():
