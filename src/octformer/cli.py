@@ -38,9 +38,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise UsageError(message)
 
+    def _get_value(self, action, arg_string):
+        """Convert with the argument's type, naming the argument in a UsageError."""
+        try:
+            return super()._get_value(action, arg_string)
+        except UsageError as e:
+            name = "/".join(action.option_strings) or action.dest
+            raise UsageError(f"{name}: {e}") from None
+
 
 def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"expected an integer >= {low}, got {text!r}") from None
     if value < low:
         raise UsageError(f"expected an integer >= {low}, got {value}")
     return value
@@ -59,11 +70,12 @@ def non_negative_int(text: str) -> int:
 def _apply_threads(threads: int | None) -> None:
     if threads is None:
         env = os.environ.get("OCTFORMER_THREADS")
-        threads = int(env) if env else None
+        try:
+            threads = positive_int(env) if env else None
+        except UsageError as e:
+            raise UsageError(f"OCTFORMER_THREADS: {e}") from None
     if threads is None:
         return
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(threads)
 
@@ -71,7 +83,7 @@ def _apply_threads(threads: int | None) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="octformer",
                      description="Octree window attention toolkit")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=positive_int, default=None,
                         help="BLAS thread count (default: $OCTFORMER_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 

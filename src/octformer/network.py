@@ -368,8 +368,10 @@ def classification_head(pyramid: FeaturePyramid, head: ClsHeadParams) -> Tensor:
 
 def segment_logits(cloud: QuantizedCloud, model: ModelParams,
                    training: bool = False) -> Tensor:
+    """Per-point logits, computed at the dtype of the model's parameters."""
     octree = build_octree(cloud)
     feats = init_leaf_features(octree, cloud, **model.config.feature_flags())
+    feats = feats.astype(model.backbone.embedding.modules[0].conv.weights.dtype)
     pyramid = backbone_apply(octree, feats, model.config, model.backbone, training)
     return fpn_segmentation_head(pyramid, octree, model.seg_head, training)
 

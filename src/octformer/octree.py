@@ -122,7 +122,17 @@ class Octree:
             if stride not in (1, 2) or depth < stride:
                 raise ValueError(f"stride {stride} is not 1, or 2 at depth >= 2")
             anchors = stride * self.coords(depth + 1 - stride)  # stride 2: parents
-            table = self.neighbors(depth, anchors, kernel_offsets(kernel))
+            offsets = kernel_offsets(kernel)
+            if (kernel, stride) == (3, 1):
+                # tap 26 - t has offset -offsets[t], so it is tap t's inverse map:
+                # look up taps 0..13 (13 is the centre) and mirror the rest
+                table = np.full((anchors.shape[0], 27), -1, dtype=np.int64)
+                table[:, :14] = self.neighbors(depth, anchors, offsets[:14])
+                for t in range(13):
+                    rows = np.flatnonzero(table[:, t] >= 0)
+                    table[table[rows, t], 26 - t] = rows
+            else:
+                table = self.neighbors(depth, anchors, offsets)
             rows = [np.flatnonzero(col >= 0) for col in table.T]
             pairs = tuple((r, col[r]) for r, col in zip(rows, table.T))
             for arr in (table, *itertools.chain(*pairs)):

@@ -7,6 +7,9 @@ topological order. With no active tape the operations are plain numpy with
 zero bookkeeping, which is what inference and benchmarking use.
 
 Default precision is 32-bit; gradient checks construct 64-bit tensors.
+Activations take their inputs' dtype (numpy's promotion of the operands),
+and a scalar never promotes: a Python or numpy scalar operand of ``add``,
+``sub`` or ``mul`` takes the dtype of the tensor operand.
 """
 
 from __future__ import annotations
@@ -175,22 +178,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise / structural ops
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a scalar takes the other operand's dtype."""
+    if np.isscalar(a):
+        b = as_tensor(b)
+        return Tensor(a, b.dtype), b
+    a = as_tensor(a)
+    return a, Tensor(b, a.dtype) if np.isscalar(b) else as_tensor(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data + b.data)
     _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
     return out
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data - b.data)
     _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)))
     return out
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out = Tensor(a.data * b.data)
 
     def vjp(g):

@@ -344,3 +344,53 @@ def test_default_dtype_switch():
     finally:
         T.set_default_dtype(np.float32)
     assert T.Tensor([1, 2]).dtype == np.float32
+
+
+# -- scalar operands ------------------------------------------------------------
+
+# op under test, and its float64 numpy reference: (x, s, upstream g) -> (out, dx)
+SCALAR_OPS = {
+    "add": (lambda x, s: T.add(x, s), lambda x, s, g: (x + s, g)),
+    "sub": (lambda x, s: T.sub(x, s), lambda x, s, g: (x - s, g)),
+    "mul": (lambda x, s: T.mul(x, s), lambda x, s, g: (x * s, g * s)),
+    "radd": (lambda x, s: s + x, lambda x, s, g: (s + x, g)),
+    "rmul": (lambda x, s: s * x, lambda x, s, g: (s * x, g * s)),
+    "neg": (lambda x, s: -x, lambda x, s, g: (x * -1.0, g * -1.0)),
+    "mean": (lambda x, s: T.mean_(x, axis=0),
+             lambda x, s, g: (x.sum(axis=0) * (1.0 / len(x)),
+                              np.broadcast_to(g * (1.0 / len(x)), x.shape))),
+}
+
+
+def _scalar_op_run(name, x, scalar):
+    op = SCALAR_OPS[name][0]
+    xt = T.Tensor(x)
+    with T.Tape() as tape:
+        out = op(xt, scalar)
+        g = T.Tensor(rng(1).normal(size=out.shape), out.dtype)
+        loss = T.sum_(T.mul(out, g))
+    T.backward(tape, loss)
+    return out.data, tape.grad(xt), g.data
+
+
+@pytest.mark.parametrize("scalar", [0.37, np.float64(0.37)], ids=["python", "numpy"])
+@pytest.mark.parametrize("name", list(SCALAR_OPS))
+def test_scalar_operand_keeps_float32(name, scalar):
+    x = rng(0).normal(size=(4, 3)).astype(np.float32)
+    out, dx, g = _scalar_op_run(name, x, scalar)
+    assert out.dtype == np.float32 and dx.dtype == np.float32
+    ref_out, ref_dx = SCALAR_OPS[name][1](x.astype(np.float64), float(scalar),
+                                          g.astype(np.float64))
+    assert np.allclose(out, ref_out, rtol=1e-6, atol=1e-6)
+    assert np.allclose(dx, ref_dx, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("scalar", [0.37, np.float64(0.37)], ids=["python", "numpy"])
+@pytest.mark.parametrize("name", list(SCALAR_OPS))
+def test_scalar_operand_float64_bytes_unchanged(name, scalar):
+    x = rng(0).normal(size=(4, 3))
+    out, dx, g = _scalar_op_run(name, x, scalar)
+    ref_out, ref_dx = SCALAR_OPS[name][1](x, np.float64(scalar), g)
+    assert out.dtype == np.float64 and dx.dtype == np.float64
+    assert out.tobytes() == np.asarray(ref_out).tobytes()
+    assert dx.tobytes() == np.ascontiguousarray(ref_dx).tobytes()

@@ -153,11 +153,20 @@ def test_cli_usage_error(capsys):
     ["build-octree", "{cloud}", "--depth", "-3", "--dump", "{cloud}.octf"],
     ["partition", "--n", "-3", "--k", "4"],
     ["attend", "{cloud}", "--seed", "-1"],
+    ["OCTFORMER_THREADS=abc", "partition", "--n", "4", "--k", "2"],
+    ["OCTFORMER_THREADS=0", "partition", "--n", "4", "--k", "2"],
+    ["--threads", "0", "partition", "--n", "4", "--k", "2"],
 ])
-def test_cli_non_positive_sizes_exit_1_with_one_line(tmp_path, capsys, argv):
+def test_cli_non_positive_sizes_exit_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                                     argv):
     cloud = tmp_path / "pts.xyz"
     cloud.write_text("\n".join(" ".join(f"{v:.6f}" for v in row)
                                for row in np.random.default_rng(4).random((60, 3))))
+    monkeypatch.delenv("OCTFORMER_THREADS", raising=False)
+    while "=" in argv[0]:  # leading NAME=value words set the environment, as in a shell
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code, out, err = run_cli(capsys, *[a.format(cloud=cloud) for a in argv])
     assert code == cli.EXIT_USAGE and out == ""
     assert err.count("\n") == 1 and err.startswith("usage error: ")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -351,6 +352,32 @@ def test_far_point_outside_receptive_field_leaves_logits_unchanged():
     assert np.abs(with_far[:n_query] - without_far[:n_query]).max() < 1e-9
     # sanity: the cloud was not globally unaffected
     assert np.abs(with_far[:-1] - without_far).max() > 1e-9
+
+
+# -- precision ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("training", [False, True])
+def test_float32_model_forward_stays_float32(training):
+    model = init_model(tiny_config(), seed=5)
+    with T.Tape() as tape:
+        logits = segment_logits(sphere_cloud(300, seed=6), model, training=training)
+    assert logits.dtype == np.float32
+    assert tape.nodes
+    assert {str(node.out.dtype) for node in tape.nodes} == {"float32"}
+
+
+def test_float32_segment_matches_float64_oracle():
+    cloud = sphere_cloud(400, seed=7)
+    model32 = init_model(tiny_config(), seed=8)
+    segment_logits(cloud, model32, training=True)  # warm the batch-norm statistics
+    model64 = copy.deepcopy(model32)
+    for _, t in trainable_parameters(model64):
+        t.data = t.data.astype(np.float64)
+
+    got = segment_logits(cloud, model32, training=False).data
+    ref = segment_logits(cloud, model64, training=False).data
+    assert got.dtype == np.float32 and ref.dtype == np.float64
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
 # -- checkpoint ---------------------------------------------------------------------

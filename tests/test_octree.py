@@ -226,6 +226,17 @@ def test_tap_table_properties(seed, n, depth, kernel_stride):
             arr[...] = 0
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_tap_table_k3_taps_mirror(seed, n, depth):
+    # tap 26 - t has the opposite offset of tap t, so the two are inverse maps
+    tree = build_octree(QuantizedCloud(np.random.default_rng(seed).random((n, 3)), depth))
+    table = tree.tap_table(depth, 3, 1)
+    for t in range(27):
+        rows = np.flatnonzero(table[:, t] >= 0)
+        assert np.array_equal(table[table[rows, t], 26 - t], rows)
+
+
 def test_tap_table_rejects_bad_footprint():
     tree = build_octree(full_grid_cloud(2))
     for depth, kernel, stride in ((2, 4, 1), (2, 3, 3), (1, 2, 2), (3, 3, 1)):
