@@ -166,6 +166,7 @@ def _cmd_attend(args) -> int:
     lift = LinearParams.init(feats.shape[1], c, rng)
     block = BlockParams.init(c, heads=max(1, c // 16), ratio=4, dilation=args.d,
                              rng=rng)
+    feats = feats.astype(lift.weight.dtype)  # run the block at the weights' precision
     out = octformer_block(linear(feats, lift), tree, tree.depth, block,
                           point_number=args.k, training=False)
     checksum = float(np.abs(out.data.astype(np.float64)).sum())

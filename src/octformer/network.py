@@ -11,8 +11,8 @@ average classification head.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -189,40 +189,50 @@ class ModelParams:
     cls_head: ClsHeadParams
 
 
-def init_backbone(config: NetworkConfig, rng, dtype=None) -> BackboneParams:
-    embedding = EmbeddingParams.init(config.in_channels, config.channels, rng,
-                                     dtype=dtype)
-    stages = []
+def _module_params(config: NetworkConfig, rng, dtype=None):
+    """Every module's parameters, in init order (which is RNG draw order and
+    checkpoint order): embedding, per stage its blocks then its downsample,
+    then the heads. With ``rng`` None each weight is a placeholder."""
     widths = config.stage_channels
-    for i in range(4):
-        c = widths[i]
-        blocks = [
-            BlockParams.init(c, config.heads(c), config.mlp_ratio,
-                             1 if b % 2 == 0 else config.dilation, rng, dtype=dtype)
-            for b in range(config.blocks[i])
-        ]
-        down = None
+    yield EmbeddingParams.init(config.in_channels, config.channels, rng, dtype=dtype)
+    for i, c in enumerate(widths):
+        for b in range(config.blocks[i]):
+            yield BlockParams.init(c, config.heads(c), config.mlp_ratio,
+                                   1 if b % 2 == 0 else config.dilation, rng, dtype=dtype)
         if i < 3:
-            down = DownsampleParams.init(c, widths[i + 1], rng, dtype=dtype)
-        stages.append(StageParams(blocks, down))
+            yield DownsampleParams.init(c, widths[i + 1], rng, dtype=dtype)
+    f = config.fpn_channels
+    for c in widths:
+        yield LinearParams.init(c, f, rng, dtype=dtype)
+    yield ConvSpec.init(3, 1, f, f, rng, dtype=dtype)
+    yield LinearParams.init(f, config.head_hidden, rng, dtype=dtype)
+    yield LinearParams.init(config.head_hidden, config.num_classes, rng, dtype=dtype)
+    yield LinearParams.init(widths[-1], config.num_classes, rng, dtype=dtype)
+
+
+def _assemble_backbone(config: NetworkConfig, modules) -> BackboneParams:
+    embedding = next(modules)
+    stages = [StageParams([next(modules) for _ in range(n)],
+                          next(modules) if i < 3 else None)
+              for i, n in enumerate(config.blocks)]
     return BackboneParams(embedding, stages)
 
 
+def _assemble_model(config: NetworkConfig, modules) -> ModelParams:
+    modules = iter(modules)
+    backbone = _assemble_backbone(config, modules)
+    seg = SegHeadParams([next(modules) for _ in config.stage_channels],
+                        next(modules), next(modules), next(modules))
+    return ModelParams(config, backbone, seg, ClsHeadParams(next(modules)))
+
+
+def init_backbone(config: NetworkConfig, rng, dtype=None) -> BackboneParams:
+    return _assemble_backbone(config, _module_params(config, rng, dtype))
+
+
 def init_model(config: NetworkConfig, seed: int = 0, dtype=None) -> ModelParams:
-    rng = np.random.default_rng(seed)
-    backbone = init_backbone(config, rng, dtype=dtype)
-    c_top = config.stage_channels[-1]
-    f = config.fpn_channels
-    seg = SegHeadParams(
-        lateral=[LinearParams.init(c, f, rng, dtype=dtype)
-                 for c in config.stage_channels],
-        fuse=ConvSpec.init(3, 1, f, f, rng, dtype=dtype),
-        hidden=LinearParams.init(f, config.head_hidden, rng, dtype=dtype),
-        classifier=LinearParams.init(config.head_hidden, config.num_classes, rng,
-                                     dtype=dtype),
-    )
-    cls = ClsHeadParams(LinearParams.init(c_top, config.num_classes, rng, dtype=dtype))
-    return ModelParams(config, backbone, seg, cls)
+    return _assemble_model(config, _module_params(config, np.random.default_rng(seed),
+                                                  dtype))
 
 
 def named_tensors(obj, prefix: str = ""):
@@ -405,52 +415,67 @@ def save_checkpoint(path: str, model: ModelParams) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read an OFCK file. Checks, in order: magic, version, config JSON; the
+    config's records against the file length (a lower bound on their bytes,
+    summed module by module, so a config that wants more than the file holds
+    stops early); then each record's length, dtype tag, name and shape, and
+    that no record is missing. Nothing is drawn from an RNG."""
     with open(path, "rb") as f:
-        data = f.read()
-    buf = io.BytesIO(data)
+        size = os.fstat(f.fileno()).st_size
 
-    def read(n: int, fmt: str | None = None):
-        """Exactly ``n`` bytes, unpacked with ``fmt`` if given."""
-        raw = buf.read(n)
-        if len(raw) != n:
-            raise DataError(f"{path}: truncated checkpoint")
-        return struct.unpack(fmt, raw) if fmt else raw
+        def read(n: int, fmt: str | None = None):
+            """Exactly ``n`` bytes, unpacked with ``fmt`` if given."""
+            raw = f.read(n)
+            if len(raw) != n:
+                raise DataError(f"{path}: truncated checkpoint")
+            return struct.unpack(fmt, raw) if fmt else raw
 
-    if buf.read(4) != CKPT_MAGIC:
-        raise DataError("bad checkpoint magic")
-    (version,) = read(4, "<I")
-    if version != CKPT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    cfg_bytes = read(*read(4, "<I"))  # length-prefixed JSON
-    try:
-        cfg = json.loads(cfg_bytes.decode())
-        config = NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                  for k, v in cfg.items()})
-    except (ValueError, TypeError, AttributeError) as e:
-        raise DataError(f"{path}: bad checkpoint config ({e})") from None
-    model = init_model(config, seed=0)
-    expected = {name: (value, kind) for name, value, kind in named_tensors(model)}
-    seen = set()
-    while buf.tell() < len(data):
-        name = read(*read(4, "<I")).decode(errors="replace")  # length-prefixed
-        tag, ndim = read(5, "<BI")
-        if tag not in _TAG_DTYPES:
-            raise DataError(f"{path}: unknown dtype tag {tag} for {name!r}")
-        shape = read(8 * ndim, f"<{ndim}Q")
-        dtype = np.dtype(_TAG_DTYPES[tag])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(read(count * dtype.itemsize),
-                            dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
-        if name not in expected:
-            raise DataError(f"unexpected checkpoint record {name!r}")
-        value, kind = expected[name]
-        if value.shape != arr.shape:
-            raise DataError(f"shape mismatch for {name!r}")
-        if kind == "param":
-            value.data = arr
-        else:
-            value[...] = arr
-        seen.add(name)
+        if f.read(4) != CKPT_MAGIC:
+            raise DataError("bad checkpoint magic")
+        (version,) = read(4, "<I")
+        if version != CKPT_VERSION:
+            raise DataError(f"unsupported checkpoint version {version}")
+        cfg_bytes = read(*read(4, "<I"))  # length-prefixed JSON
+        try:
+            cfg = json.loads(cfg_bytes.decode())
+            config = NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                      for k, v in cfg.items()})
+        except (ValueError, TypeError, AttributeError) as e:
+            raise DataError(f"{path}: bad checkpoint config ({e})") from None
+        modules, need = [], f.tell()
+        for module in _module_params(config, rng=None):
+            # a lower bound per record: length, tag and ndim fields (9 bytes),
+            # the dims and float32 data; the name is not counted
+            need += sum(9 + 8 * v.ndim + 4 * v.size for _, v, _ in named_tensors(module))
+            if need > size:
+                raise DataError(f"{path}: truncated checkpoint: its config needs "
+                                f"more than the file's {size} bytes")
+            modules.append(module)
+        model = _assemble_model(config, modules)
+        expected = {name: (value, kind) for name, value, kind in named_tensors(model)}
+        seen = set()
+        while f.tell() < size:
+            name = read(*read(4, "<I")).decode(errors="replace")  # length-prefixed
+            tag, ndim = read(5, "<BI")
+            if tag not in _TAG_DTYPES:
+                raise DataError(f"{path}: unknown dtype tag {tag} for {name!r}")
+            shape = read(8 * ndim, f"<{ndim}Q")
+            if name not in expected:
+                raise DataError(f"unexpected checkpoint record {name!r}")
+            value, kind = expected[name]
+            if value.shape != shape:
+                raise DataError(f"shape mismatch for {name!r}")
+            dtype = np.dtype(_TAG_DTYPES[tag])
+            # read straight into an aligned array: a view into one file buffer
+            # would be unaligned, and numpy's matmul skips BLAS for those
+            arr = np.empty(shape, dtype=dtype.newbyteorder("<"))
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise DataError(f"{path}: truncated checkpoint")
+            if kind == "param":
+                value.data = arr.astype(dtype, copy=False)
+            else:
+                value[...] = arr
+            seen.add(name)
     missing = set(expected) - seen
     if missing:
         raise DataError(f"checkpoint missing records: {sorted(missing)[:3]}...")

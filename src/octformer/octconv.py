@@ -31,8 +31,8 @@ from .tensor import (
     Tensor,
     batch_norm,
     from_op,
+    init_weight,
     relu,
-    trunc_normal,
 )
 
 
@@ -64,12 +64,12 @@ class ConvSpec:
 
     @classmethod
     def init(cls, kernel: int, stride: int, in_channels: int, out_channels: int,
-             rng: np.random.Generator, depthwise: bool = False, std: float = 0.02,
+             rng: np.random.Generator | None, depthwise: bool = False, std: float = 0.02,
              dtype=None) -> "ConvSpec":
         taps = kernel**3
         shape = (taps, in_channels) if depthwise else (taps, in_channels, out_channels)
         return cls(kernel, stride, in_channels, out_channels,
-                   trunc_normal(shape, std, rng, dtype), depthwise)
+                   init_weight(shape, std, rng, dtype), depthwise)
 
 
 def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> TapTable:

@@ -80,6 +80,18 @@ def kernel_offsets(kernel: int) -> np.ndarray:
     return np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
+def tap_recurrence(kernel: int) -> tuple[np.ndarray, np.ndarray]:
+    """(8, kernel**3) parent taps P and child slots S of every (slot, tap).
+
+    A cell in slot s (bits x, y, z, x most significant) of its parent, moved
+    by tap t's offset, lands in child slot ``S[s, t]`` of the parent's k3
+    neighbour ``P[s, t]``: per axis, bit + offset is in [-1, 2], its floor
+    half is the parent offset and its low bit the child bit.
+    """
+    moved = kernel_offsets(2)[:, None, :] + kernel_offsets(kernel)
+    return (moved >> 1) @ np.array([9, 3, 1]) + 13, (moved & 1) @ np.array([4, 2, 1])
+
+
 class TapTable(np.ndarray):
     """Read-only (N_out, taps) int64 index table; -1 where the cell is empty.
 
@@ -101,6 +113,7 @@ class Octree:
     point_assignment: np.ndarray           # (P,) leaf index at max depth
     _coords: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _taps: dict[tuple[int, int, int], TapTable] = field(default_factory=dict, repr=False)
+    _child_tables: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def node_count(self, depth: int) -> int:
         self._check_depth(depth)
@@ -115,24 +128,33 @@ class Octree:
 
     def tap_table(self, depth: int, kernel: int, stride: int) -> TapTable:
         """Conv table into the depth-``depth`` nodes, built once. Stride 1 anchors
-        at those nodes; stride 2 at twice the coordinates of their parents."""
+        at those nodes; stride 2 at twice the coordinates of their parents.
+
+        No key search: a cell's neighbour is a child of its parent's
+        neighbour, so ``table[a, t] = children[up[q, P[s, t]], S[s, t]]`` with
+        ``up`` the k3 stride-1 table one depth up (a centre-only virtual root
+        above depth 1), ``children`` the by-slot child table of that depth,
+        ``q``/``s`` the anchor's parent and slot (stride 2: the output node and
+        slot 0) and ``P``/``S`` from :func:`tap_recurrence`.
+        """
         key = (depth, kernel, stride)
         if key not in self._taps:
             self._check_depth(depth)
             if stride not in (1, 2) or depth < stride:
                 raise ValueError(f"stride {stride} is not 1, or 2 at depth >= 2")
-            anchors = stride * self.coords(depth + 1 - stride)  # stride 2: parents
-            offsets = kernel_offsets(kernel)
-            if (kernel, stride) == (3, 1):
-                # tap 26 - t has offset -offsets[t], so it is tap t's inverse map:
-                # look up taps 0..13 (13 is the centre) and mirror the rest
-                table = np.full((anchors.shape[0], 27), -1, dtype=np.int64)
-                table[:, :14] = self.neighbors(depth, anchors, offsets[:14])
-                for t in range(13):
-                    rows = np.flatnonzero(table[:, t] >= 0)
-                    table[table[rows, t], 26 - t] = rows
+            parent_of, slot_of = tap_recurrence(kernel)
+            children = self._children(depth - 1)
+            if (kernel, stride) == (2, 2):
+                table = children[:-1]  # children by slot are the k2 stride-2 taps
             else:
-                table = self.neighbors(depth, anchors, offsets)
+                up = self.tap_table(depth - 1, 3, 1) if depth > 1 else _ROOT_TAPS
+                if stride == 1:
+                    slots = (self.keys[depth] & np.uint64(7)).astype(np.intp)
+                    q = self.parent_index[depth] if depth > 1 else 0
+                    up = np.asarray(up)[np.reshape(q, (-1, 1)), parent_of[slots]]
+                    table = children[up, slot_of[slots]]
+                else:
+                    table = children[np.asarray(up)[:, parent_of[0]], slot_of[0]]
             rows = [np.flatnonzero(col >= 0) for col in table.T]
             pairs = tuple((r, col[r]) for r, col in zip(rows, table.T))
             for arr in (table, *itertools.chain(*pairs)):
@@ -140,6 +162,20 @@ class Octree:
             self._taps[key] = table = table.view(TapTable)
             table.pairs = pairs
         return self._taps[key]
+
+    def _children(self, depth: int) -> np.ndarray:
+        """(N_depth + 1, 8) child indices by slot of the depth-``depth`` nodes
+        (depth 0: the root), -1 where absent; the extra last row is all -1 so
+        that an absent neighbour (-1) propagates. Cached, read-only."""
+        if depth not in self._child_tables:
+            n = self.node_count(depth) if depth else 1
+            children = np.full((n + 1, 8), -1, dtype=np.int64)
+            below = self.keys[depth + 1]
+            parents = self.parent_index[depth + 1] if depth else 0
+            children[parents, (below & np.uint64(7)).astype(np.intp)] = np.arange(below.shape[0])
+            children.setflags(write=False)
+            self._child_tables[depth] = children
+        return self._child_tables[depth]
 
     def neighbors(self, depth: int, anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """(N, T) node indices at ``depth`` of ``anchors + offsets``; -1 where empty."""
@@ -155,6 +191,9 @@ class Octree:
     def _check_depth(self, depth: int) -> None:
         if not 1 <= depth <= self.depth:
             raise ValueError(f"depth {depth} out of [1, {self.depth}]")
+
+
+_ROOT_TAPS = np.where(np.arange(27) == 13, 0, -1)[None]  # depth 0: centre tap only
 
 
 def build_octree(cloud: QuantizedCloud) -> Octree:

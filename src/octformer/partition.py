@@ -25,12 +25,12 @@ from .tensor import (
     assert_finite,
     batch_norm,
     from_op,
+    init_weight,
     matmul,
     mul,
     reshape,
     softmax,
     transpose,
-    trunc_normal,
 )
 
 
@@ -122,17 +122,17 @@ class AttentionParams:
     head_dim: int
 
     @classmethod
-    def init(cls, channels: int, heads: int, rng: np.random.Generator,
+    def init(cls, channels: int, heads: int, rng: np.random.Generator | None,
              std: float = 0.02, dtype=None) -> "AttentionParams":
         if channels % heads != 0:
             raise ValueError(f"channels {channels} not divisible by heads {heads}")
         head_dim = channels // heads
         shape = (channels, heads * head_dim)
         return cls(
-            w_q=trunc_normal(shape, std, rng, dtype),
-            w_k=trunc_normal(shape, std, rng, dtype),
-            w_v=trunc_normal(shape, std, rng, dtype),
-            w_o=trunc_normal((heads * head_dim, channels), std, rng, dtype),
+            w_q=init_weight(shape, std, rng, dtype),
+            w_k=init_weight(shape, std, rng, dtype),
+            w_v=init_weight(shape, std, rng, dtype),
+            w_o=init_weight((heads * head_dim, channels), std, rng, dtype),
             heads=heads,
             head_dim=head_dim,
         )

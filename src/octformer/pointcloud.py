@@ -7,6 +7,7 @@ properties (uchar color properties are rescaled from [0, 255]).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,17 @@ def _read_xyz(path: str) -> RawCloud:
     if not rows:
         raise DataError(f"{path}: no points")
     data = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(data[:, :3]).all():
-        raise DataError(f"{path}: non-finite coordinates")
+    _check_finite(path, data)
     colors = data[:, 3:6] if data.shape[1] >= 6 else None
     normals = data[:, 6:9] if data.shape[1] == 9 else None
     return RawCloud(data[:, :3], colors, normals)
+
+
+def _check_finite(path: str, data: np.ndarray) -> None:
+    """Reject nan and overflowed (inf) values in any column read from a file."""
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: non-finite value in point {int(np.argmin(finite))}")
 
 
 _PLY_PROPS = {
@@ -67,30 +74,41 @@ _PLY_PROPS = {
 
 def _read_ply(path: str) -> RawCloud:
     with open(path) as f:
-        if f.readline().strip() != "ply":
+        magic, fmt = f.readline(), f.readline()
+        if magic.strip() != "ply":
             raise DataError(f"{path}: not a PLY file")
-        if "ascii" not in f.readline():
+        if "ascii" not in fmt:
             raise DataError(f"{path}: only ascii PLY is supported")
+        header_chars = len(magic) + len(fmt)
         count = None
         props: list[tuple[str, str]] = []
         in_vertex = False
         for line in f:
+            header_chars += len(line)
             tok = line.split()
             if not tok:
                 continue
             if tok[0] == "element":
-                in_vertex = tok[1] == "vertex"
+                in_vertex = tok[1:2] == ["vertex"]
                 if in_vertex:
-                    count = int(tok[2])
+                    count = int(tok[2]) if tok[2:3] and tok[2].isdecimal() else -1
             elif tok[0] == "property" and in_vertex:
                 props.append((tok[2], tok[1]))
             elif tok[0] == "end_header":
                 break
         if count is None:
             raise DataError(f"{path}: no vertex element")
+        if count < 0:
+            raise DataError(f"{path}: vertex count is not a non-negative integer")
         names = [p[0] for p in props]
         if not all(c in names for c in ("x", "y", "z")):
             raise DataError(f"{path}: PLY lacks x/y/z properties")
+        # an ascii row spends at least one digit and one separator per property;
+        # characters never outnumber bytes, so this never undercounts what is left
+        left = os.path.getsize(path) - header_chars
+        if 2 * len(props) * count > left:
+            raise DataError(f"{path}: header declares {count} vertices, "
+                            f"but only {left} bytes follow it")
         data = np.full((count, 9), np.nan)
         have = np.zeros(9, dtype=bool)
         for col, (name, typ) in enumerate(props):
@@ -110,9 +128,8 @@ def _read_ply(path: str) -> RawCloud:
                 if typ in ("uchar", "uint8"):
                     v /= 255.0
                 data[i, _PLY_PROPS[name]] = v
+    _check_finite(path, data[:, have])
     positions = data[:, :3]
-    if not np.isfinite(positions).all():
-        raise DataError(f"{path}: non-finite coordinates")
     colors = data[:, 3:6] if have[3:6].all() else None
     normals = data[:, 6:9] if have[6:9].all() else None
     return RawCloud(positions, colors, normals)

@@ -9,7 +9,10 @@ zero bookkeeping, which is what inference and benchmarking use.
 Default precision is 32-bit; gradient checks construct 64-bit tensors.
 Activations take their inputs' dtype (numpy's promotion of the operands),
 and a scalar never promotes: a Python or numpy scalar operand of ``add``,
-``sub`` or ``mul`` takes the dtype of the tensor operand.
+``sub`` or ``mul`` takes the dtype of the tensor operand. Ops write only into
+arrays they allocated themselves, never into an input, so an in-place step
+(``linear``'s bias add, the passes of ``gelu``, ``softmax`` and the norms)
+computes the same bits as the expression it replaces.
 """
 
 from __future__ import annotations
@@ -338,7 +341,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-CDF gelu (erf form, not the tanh approximation)."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = Tensor(x.data * cdf)
 
     def vjp(g):
@@ -351,9 +357,9 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def vjp(g):
@@ -370,10 +376,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ValueError("eps must be positive")
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True, mean=mu)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xhat = x.data - mu
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
+    out = Tensor(y)
 
     def vjp(g):
         dxhat = g * gamma.data
@@ -433,8 +442,11 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
         mu = state.running_mean.astype(x.dtype)
         var = state.running_var.astype(x.dtype)
     inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xhat = x.data - mu
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
+    out = Tensor(y)
 
     def vjp(g):
         dxhat = g * gamma.data
@@ -500,23 +512,39 @@ def trunc_normal(shape, std: float, rng: np.random.Generator, dtype=None) -> Ten
     return Tensor(np.clip(v, -2.0 * std, 2.0 * std).astype(dt))
 
 
+def init_weight(shape, std: float, rng: np.random.Generator | None, dtype=None) -> Tensor:
+    """A :func:`trunc_normal` draw; with ``rng`` None, a read-only zero-stride
+    placeholder of that shape and dtype (no RNG, no memory) for a loader to fill."""
+    if rng is None:
+        return Tensor(np.broadcast_to(np.zeros((), dtype or default_dtype()), shape))
+    return trunc_normal(shape, std, rng, dtype)
+
+
 @dataclass
 class LinearParams:
     weight: Tensor  # (in, out)
     bias: Tensor | None = None
 
     @classmethod
-    def init(cls, fan_in: int, fan_out: int, rng: np.random.Generator,
+    def init(cls, fan_in: int, fan_out: int, rng: np.random.Generator | None,
              bias: bool = True, std: float = 0.02, dtype=None) -> "LinearParams":
         dt = dtype or default_dtype()
-        w = trunc_normal((fan_in, fan_out), std, rng, dt)
+        w = init_weight((fan_in, fan_out), std, rng, dt)
         b = Tensor(np.zeros(fan_out, dtype=dt)) if bias else None
         return cls(w, b)
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    y = matmul(x, p.weight)
-    return add(y, p.bias) if p.bias is not None else y
+    """(N, in) @ (in, out) plus the bias, added in place, as one taped op."""
+    x, w = as_tensor(x), p.weight
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear wants (N, {w.shape[0]}) input, got {x.shape}")
+    out = np.matmul(x.data, w.data)
+    if p.bias is None:
+        return from_op(out, (x, w), lambda g: (g @ w.data.T, x.data.T @ g))
+    out += p.bias.data
+    return from_op(out, (x, w, p.bias),
+                   lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 @dataclass

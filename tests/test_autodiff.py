@@ -394,3 +394,80 @@ def test_scalar_operand_float64_bytes_unchanged(name, scalar):
     assert out.dtype == np.float64 and dx.dtype == np.float64
     assert out.tobytes() == np.asarray(ref_out).tobytes()
     assert dx.tobytes() == np.ascontiguousarray(ref_dx).tobytes()
+
+
+# -- in-place rewrites ----------------------------------------------------------
+# Each op below writes only into arrays it allocated; its output must equal, bit
+# for bit, the plain numpy expression it replaced.
+
+def _reference_expressions():
+    from scipy.special import erf
+
+    def gelu(x):
+        return x * (0.5 * (1.0 + erf(x * T._INV_SQRT2)))
+
+    def softmax(x):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def normalize(x, mu, var, gamma, beta, eps):
+        return (x - mu) * (1.0 / np.sqrt(var + eps)) * gamma + beta
+
+    return gelu, softmax, normalize
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rewritten_ops_match_numpy_bit_for_bit(dtype):
+    gelu, softmax, normalize = _reference_expressions()
+    r = rng(21)
+    x = (r.normal(size=(37, 24)) * 3).astype(dtype)
+    before = x.copy()
+    gamma, beta = r.normal(size=24).astype(dtype), r.normal(size=24).astype(dtype)
+    w, b = r.normal(size=(24, 10)).astype(dtype), r.normal(size=10).astype(dtype)
+
+    assert np.array_equal(T.gelu(T.Tensor(x)).data, gelu(x))
+    zero_d = np.asarray(0.7, dtype=dtype)  # x * c is a numpy scalar here
+    assert np.array_equal(T.gelu(T.Tensor(zero_d)).data, gelu(zero_d))
+    scores = x.reshape(37, 2, 12)
+    assert np.array_equal(T.softmax(T.Tensor(scores)).data, softmax(scores))
+
+    mu = x.mean(axis=-1, keepdims=True)
+    ln = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), eps=1e-5).data
+    assert np.array_equal(ln, normalize(x, mu, x.var(axis=-1, keepdims=True),
+                                        gamma, beta, 1e-5))
+
+    state = T.BatchNormState(T.Tensor(gamma), T.Tensor(beta),
+                             r.normal(size=24), r.random(24) + 0.5)
+    bn = T.batch_norm(T.Tensor(x), state, training=False).data
+    assert np.array_equal(bn, normalize(x, state.running_mean.astype(dtype),
+                                        state.running_var.astype(dtype),
+                                        gamma, beta, state.eps))
+    bn = T.batch_norm(T.Tensor(x), state, training=True).data
+    assert np.array_equal(bn, normalize(x, x.mean(axis=0), x.var(axis=0),
+                                        gamma, beta, state.eps))
+
+    lin = T.linear(T.Tensor(x), T.LinearParams(T.Tensor(w), T.Tensor(b))).data
+    assert np.array_equal(lin, x @ w + b)
+    assert np.array_equal(T.linear(T.Tensor(x), T.LinearParams(T.Tensor(w))).data, x @ w)
+    assert np.array_equal(x, before)  # no op wrote into its input
+    for out in (lin, ln, bn):
+        assert out.dtype == dtype
+
+
+def test_linear_gradcheck():
+    def with_bias(xs):
+        y = T.linear(xs[0], T.LinearParams(xs[1], xs[2]))
+        return T.sum_(T.mul(y, xs[3]))
+
+    def without_bias(xs):
+        return T.sum_(T.mul(T.linear(xs[0], T.LinearParams(xs[1])), xs[2]))
+
+    gradcheck(with_bias, [(5, 4), (4, 3), (3,), (5, 3)])
+    gradcheck(without_bias, [(5, 4), (4, 3), (5, 3)])
+
+
+def test_linear_shape_error():
+    p = T.LinearParams(T.Tensor(np.zeros((4, 3))))
+    for shape in ((5, 3), (2, 5, 4), (4,)):
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.zeros(shape)), p)

@@ -114,6 +114,57 @@ def test_cli_segment_truncated_checkpoint_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "truncated checkpoint" in err
 
 
+def test_cli_segment_huge_blocks_checkpoint_exits_2_fast(tmp_path, capsys):
+    import time
+
+    from octformer.network import NetworkConfig, init_model, save_checkpoint
+
+    ckpt = tmp_path / "m.ofck"
+    config = NetworkConfig(channels=8, blocks=(1, 1, 1, 1), point_number=8,
+                           num_classes=2, octree_depth=7, features=("position",))
+    save_checkpoint(str(ckpt), init_model(config, seed=0))
+    data = ckpt.read_bytes()
+    cfg_len = int.from_bytes(data[8:12], "little")
+    cfg = json.loads(data[12:12 + cfg_len])
+    cfg["blocks"] = [1, 1, 1, 100000]
+    cfg_bytes = json.dumps(cfg).encode()
+    ckpt.write_bytes(data[:8] + len(cfg_bytes).to_bytes(4, "little") + cfg_bytes
+                     + data[12 + cfg_len:])
+    pts = tmp_path / "cloud.xyz"
+    pts.write_text("0.1 0.2 0.3\n0.5 0.5 0.5\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "segment", str(pts), "--ckpt", str(ckpt))
+    assert time.perf_counter() - start < 2.0
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "truncated checkpoint" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+@pytest.mark.parametrize("column", [3, 5, 6, 8], ids=["red", "blue", "nx", "nz"])
+def test_cli_non_finite_xyz_column_exits_2_with_one_line(tmp_path, capsys, column, value):
+    rows = [[f"{v:.6f}" for v in row]
+            for row in np.random.default_rng(2).random((30, 9))]
+    rows[7][column] = value
+    src = tmp_path / "pts.xyz"
+    src.write_text("\n".join(" ".join(row) for row in rows) + "\n")
+    code, _, err = run_cli(capsys, "attend", str(src), "--depth", "5", "--k", "4")
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "non-finite value in point 7" in err
+
+
+@pytest.mark.parametrize("count", ["99999999999", "6", "-1", "many"])
+def test_cli_ply_vertex_count_beyond_file_exits_2_with_one_line(tmp_path, capsys, count):
+    src = tmp_path / "pts.ply"
+    src.write_text("ply\nformat ascii 1.0\n"
+                   f"element vertex {count}\n"
+                   "property float x\nproperty float y\nproperty float z\n"
+                   "end_header\n0.1 0.2 0.3\n0.4 0.5 0.6\n")
+    code, _, err = run_cli(capsys, "build-octree", str(src), "--depth", "4",
+                           "--dump", str(tmp_path / "t.octf"))
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_config_network_overrides():
     cfg = parse_run_config({"network": {"preset": "small",
                                         "num_classes": 5,

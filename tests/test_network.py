@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -366,6 +367,23 @@ def test_float32_model_forward_stays_float32(training):
     assert {str(node.out.dtype) for node in tape.nodes} == {"float32"}
 
 
+def test_attend_block_runs_in_float32(tmp_path, monkeypatch, capsys):
+    from octformer import cli, network
+
+    outputs = []
+
+    def recording_block(*args, **kwargs):
+        outputs.append(octformer_block(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(network, "octformer_block", recording_block)
+    src = tmp_path / "pts.xyz"
+    rows = np.random.default_rng(1).random((200, 6))
+    src.write_text("\n".join(" ".join(f"{v:.6f}" for v in row) for row in rows) + "\n")
+    assert cli.main(["attend", str(src), "--depth", "6", "--k", "8"]) == 0
+    assert [out.dtype for out in outputs] == [np.float32]
+
+
 def test_float32_segment_matches_float64_oracle():
     cloud = sphere_cloud(400, seed=7)
     model32 = init_model(tiny_config(), seed=8)
@@ -424,6 +442,47 @@ def test_checkpoint_truncated_or_unknown_tag_is_data_error(tmp_path):
     bad_tag[name_end] = 7
     path.write_bytes(bytes(bad_tag))
     with pytest.raises(DataError, match="dtype tag 7"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("config", [tiny_config(), NetworkConfig.preset("small")],
+                         ids=["toy", "small"])
+def test_load_checkpoint_reads_without_rng(tmp_path, monkeypatch, config):
+    model = init_model(config, seed=6)
+    path = str(tmp_path / "model.ofck")
+    save_checkpoint(path, model)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the loader drew from an RNG")
+
+    from octformer import octconv, partition
+
+    for module in (T, octconv, partition):
+        if hasattr(module, "trunc_normal"):
+            monkeypatch.setattr(module, "trunc_normal", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    restored = load_checkpoint(path)
+    saved = list(named_tensors(model))
+    loaded = list(named_tensors(restored))
+    assert [n for n, _, _ in loaded] == [n for n, _, _ in saved]
+    for (name, want, kind), (_, got, _) in zip(saved, loaded):
+        want, got = (want.data, got.data) if kind == "param" else (want, got)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert got.flags.writeable and got.flags.aligned, name
+
+
+def test_load_checkpoint_stops_at_a_config_larger_than_the_file(tmp_path):
+    path = tmp_path / "model.ofck"
+    save_checkpoint(str(path), init_model(tiny_config(), seed=0))
+    data = path.read_bytes()
+    cfg_len = int.from_bytes(data[8:12], "little")
+    cfg = json.loads(data[12:12 + cfg_len])
+    cfg["blocks"] = [1, 1, 1, 100000]
+    cfg_bytes = json.dumps(cfg).encode()
+    path.write_bytes(data[:8] + len(cfg_bytes).to_bytes(4, "little") + cfg_bytes
+                     + data[12 + cfg_len:])
+    with pytest.raises(DataError, match="truncated checkpoint: its config needs"):
         load_checkpoint(str(path))
 
 

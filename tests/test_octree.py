@@ -14,6 +14,7 @@ from octformer.octree import (
     dump_octree,
     filter_and_pad_count,
     init_leaf_features,
+    kernel_offsets,
     load_octree_keys,
 )
 
@@ -235,6 +236,28 @@ def test_tap_table_k3_taps_mirror(seed, n, depth):
     for t in range(27):
         rows = np.flatnonzero(table[:, t] >= 0)
         assert np.array_equal(table[table[rows, t], 26 - t], rows)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 6),
+       st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_tap_table_recurrence_matches_key_search(seed, n, depth, edge_share):
+    # the parent-to-child recurrence against a key search, at every depth; a share
+    # of the points is pushed onto the cube's faces, edges and corners
+    rng = np.random.default_rng(seed)
+    pos = rng.random((n, 3))
+    edge = rng.random((n, 3)) < edge_share
+    pos[edge] = np.where(rng.random(edge.sum()) < 0.5, 0.0, np.nextafter(1.0, 0.0))
+    tree = build_octree(QuantizedCloud(pos, depth))
+    for d in range(1, depth + 1):
+        for kernel, stride in ((3, 1), (2, 1), (3, 2), (2, 2)):
+            if d < stride:
+                continue
+            table = tree.tap_table(d, kernel, stride)
+            anchors = stride * tree.coords(d + 1 - stride)
+            assert np.array_equal(table, tree.neighbors(d, anchors, kernel_offsets(kernel)))
+        if d >= 2:  # the k2 stride-2 table is the by-slot child table, stored once
+            assert np.shares_memory(tree.tap_table(d, 2, 2), tree._children(d - 1))
 
 
 def test_tap_table_rejects_bad_footprint():
