@@ -34,17 +34,30 @@ VARIANTS = ("octree", "cubic", "knn", "global")
 
 @dataclass
 class BenchSettings:
+    """The sweep (``sizes`` x ``variants``) and every cell's attention set-up;
+    also the run config's ``bench`` section."""
+
+    sizes: tuple[int, ...] = (10_000, 20_000, 50_000, 100_000, 200_000)
+    variants: tuple[str, ...] = ("octree",)
+    trials: int = 3
+    warmup: int = 2
     channels: int = 96
     heads: int = 6
     point_number: int = 32
     k_neighbors: int = 32
     cubic_window: int = 6
     depth: int | None = None  # None: per-size depth keeping surfaces dense
-    trials: int = 3
-    warmup: int = 2
     seed: int = 0
 
     def __post_init__(self):
+        for v in self.variants:
+            if v not in VARIANTS:
+                raise ConfigError(f"unknown bench variant {v!r}")
+        if any(n < 1 for n in self.sizes):
+            raise ConfigError("bench sizes must be >= 1")
+        smallest = min(self.sizes, default=self.k_neighbors)
+        if "knn" in self.variants and smallest < self.k_neighbors:
+            raise ConfigError(f"bench k_neighbors {self.k_neighbors} exceeds size {smallest}")
         if self.trials < 1 or self.warmup < 0:
             raise ConfigError("trials must be >= 1 and warmup >= 0")
 

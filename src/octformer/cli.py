@@ -183,8 +183,7 @@ def _cmd_train_toy(args) -> int:
     dataset = two_spheres_dataset(run.dataset.n_clouds,
                                   run.dataset.points_per_cloud,
                                   run.dataset.depth, run.dataset.seed)
-    net = run.network.build()
-    result = train_toy(dataset, net, run.training.build())
+    result = train_toy(dataset, run.network.build(), run.training)
     lines = ["step,lr,loss,accuracy"]
     lines += [f"{r['step']},{r['lr']:.6e},{r['loss']:.6e},{r['accuracy']:.6f}"
               for r in result.records]
@@ -223,10 +222,9 @@ def _cmd_bench(args) -> int:
     from .config import load_run_config
 
     run = load_run_config(args.config)
-    settings = run.bench.build()
     rows = []
     for variant in run.bench.variants:
-        rows.extend(bench_attention(list(run.bench.sizes), variant, settings))
+        rows.extend(bench_attention(list(run.bench.sizes), variant, run.bench))
     csv_text = rows_to_csv(rows)
     if run.outputs.bench_csv:
         with open(run.outputs.bench_csv, "w") as f:

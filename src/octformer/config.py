@@ -12,7 +12,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-from .bench import BenchSettings, VARIANTS
+from .bench import BenchSettings
 from .errors import ConfigError
 from .network import NetworkConfig, OptimSettings, PRESETS
 
@@ -52,66 +52,9 @@ class NetworkSection:
             k: v for k, v in dataclasses.asdict(self).items()
             if k != "preset" and v is not None
         }
-        if "blocks" in overrides:
-            overrides["blocks"] = tuple(overrides["blocks"])
-        if "features" in overrides:
-            overrides["features"] = tuple(overrides["features"])
         if self.preset is not None:
             return NetworkConfig.preset(self.preset, **overrides)
         return NetworkConfig(**overrides)
-
-
-@dataclass
-class TrainingSection:
-    steps: int = 300
-    lr: float = 3e-3
-    weight_decay: float = 0.05
-    batch_size: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigError("training.steps and batch_size must be >= 1")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ConfigError("training.lr and weight_decay must be >= 0")
-
-    def build(self) -> OptimSettings:
-        return OptimSettings(steps=self.steps, lr=self.lr,
-                             weight_decay=self.weight_decay,
-                             batch_size=self.batch_size, seed=self.seed)
-
-
-@dataclass
-class BenchSection:
-    sizes: tuple[int, ...] = (10_000, 20_000, 50_000, 100_000, 200_000)
-    variants: tuple[str, ...] = ("octree",)
-    trials: int = 3
-    warmup: int = 2
-    channels: int = 96
-    heads: int = 6
-    point_number: int = 32
-    k_neighbors: int = 32
-    cubic_window: int = 6
-    depth: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"unknown bench variant {v!r}")
-        if any(n < 1 for n in self.sizes):
-            raise ConfigError("bench sizes must be >= 1")
-        smallest = min(self.sizes, default=self.k_neighbors)
-        if "knn" in self.variants and smallest < self.k_neighbors:
-            raise ConfigError(f"bench k_neighbors {self.k_neighbors} exceeds size {smallest}")
-
-    def build(self) -> BenchSettings:
-        return BenchSettings(channels=self.channels, heads=self.heads,
-                             point_number=self.point_number,
-                             k_neighbors=self.k_neighbors,
-                             cubic_window=self.cubic_window, depth=self.depth,
-                             trials=self.trials, warmup=self.warmup,
-                             seed=self.seed)
 
 
 @dataclass
@@ -125,8 +68,8 @@ class OutputSection:
 class RunConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
     network: NetworkSection = field(default_factory=NetworkSection)
-    training: TrainingSection = field(default_factory=TrainingSection)
-    bench: BenchSection = field(default_factory=BenchSection)
+    training: OptimSettings = field(default_factory=OptimSettings)
+    bench: BenchSettings = field(default_factory=BenchSettings)
     outputs: OutputSection = field(default_factory=OutputSection)
 
 

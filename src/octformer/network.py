@@ -497,17 +497,27 @@ class LabeledCloud:
             raise DataError("labels must be one per point")
 
 
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+LR_DECAY_MILESTONES = (0.6, 0.8)  # fractions of the steps; lr x 0.1 at each
+IGNORE_INDEX = -1  # label that the loss and the accuracy skip
+
+
 @dataclass
 class OptimSettings:
+    """Toy-training settings; also the run config's ``training`` section."""
+
     steps: int = 300
     lr: float = 3e-3
     weight_decay: float = 0.05
     batch_size: int = 1
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    decay_milestones: tuple[float, float] = (0.6, 0.8)
     seed: int = 0
-    ignore_index: int = -1
+
+    def __post_init__(self):
+        if self.steps < 1 or self.batch_size < 1:
+            raise ConfigError("training.steps and batch_size must be >= 1")
+        if self.lr < 0 or self.weight_decay < 0:
+            raise ConfigError("training.lr and weight_decay must be >= 0")
 
 
 class AdamW:
@@ -522,21 +532,21 @@ class AdamW:
 
     def lr_at(self, step: int) -> float:
         lr = self.s.lr
-        for frac in self.s.decay_milestones:
+        for frac in LR_DECAY_MILESTONES:
             if step >= frac * self.s.steps:
                 lr *= 0.1
         return lr
 
     def step(self, grads: list[np.ndarray], lr: float) -> None:
         self.t += 1
-        b1, b2 = self.s.betas
+        b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for (_, p), m, v, g in zip(self.params, self.m, self.v, grads):
             g = g.astype(np.float64)
             m += (1 - b1) * (g - m)
             v += (1 - b2) * (g * g - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.s.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
             p.data = (p.data - lr * (update + self.s.weight_decay * p.data)).astype(
                 p.dtype)
 
@@ -551,15 +561,15 @@ class TrainResult:
     final_accuracy: float
 
 
-def _dataset_metrics(model: ModelParams, prepared, ignore_index: int):
+def _dataset_metrics(model: ModelParams, prepared):
     total_loss, total_correct, total_count = 0.0, 0, 0
     for octree, feats, labels in prepared:
         pyramid = backbone_apply(octree, feats, model.config, model.backbone,
                                  training=False)
         logits = fpn_segmentation_head(pyramid, octree, model.seg_head,
                                        training=False)
-        loss = cross_entropy(logits, labels, ignore_index)
-        valid = labels != ignore_index
+        loss = cross_entropy(logits, labels, IGNORE_INDEX)
+        valid = labels != IGNORE_INDEX
         pred = logits.data.argmax(axis=1)
         total_correct += int((pred[valid] == labels[valid]).sum())
         total_count += int(valid.sum())
@@ -591,7 +601,7 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
     params = trainable_parameters(model.backbone) + trainable_parameters(model.seg_head)
     opt = AdamW(params, settings)
 
-    initial_loss, initial_acc = _dataset_metrics(model, prepared, settings.ignore_index)
+    initial_loss, initial_acc = _dataset_metrics(model, prepared)
 
     records = []
     cursor = 0
@@ -606,13 +616,13 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
                                          model.backbone, training=True)
                 logits = fpn_segmentation_head(pyramid, octree, model.seg_head,
                                                training=True)
-                loss = cross_entropy(logits, labels, settings.ignore_index)
+                loss = cross_entropy(logits, labels, IGNORE_INDEX)
             if not np.isfinite(loss.item()):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)
             backward(tape, loss)
             for g, (_, p) in zip(grads, params):
                 g += tape.grad(p)
-            valid = labels != settings.ignore_index
+            valid = labels != IGNORE_INDEX
             pred = logits.data.argmax(axis=1)
             batch_correct += int((pred[valid] == labels[valid]).sum())
             batch_count += int(valid.sum())
@@ -626,6 +636,6 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
             "accuracy": batch_correct / batch_count,
         })
 
-    final_loss, final_acc = _dataset_metrics(model, prepared, settings.ignore_index)
+    final_loss, final_acc = _dataset_metrics(model, prepared)
     return TrainResult(model, records, initial_loss, initial_acc,
                        final_loss, final_acc)

@@ -64,12 +64,12 @@ class ConvSpec:
 
     @classmethod
     def init(cls, kernel: int, stride: int, in_channels: int, out_channels: int,
-             rng: np.random.Generator | None, depthwise: bool = False, std: float = 0.02,
+             rng: np.random.Generator | None, depthwise: bool = False,
              dtype=None) -> "ConvSpec":
         taps = kernel**3
         shape = (taps, in_channels) if depthwise else (taps, in_channels, out_channels)
         return cls(kernel, stride, in_channels, out_channels,
-                   init_weight(shape, std, rng, dtype), depthwise)
+                   init_weight(shape, rng, dtype), depthwise)
 
 
 def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> TapTable:

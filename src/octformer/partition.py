@@ -18,6 +18,7 @@ from .errors import ShapeError
 from .octconv import depthwise_conv
 from .octree import Octree, filter_and_pad_count
 from .tensor import (
+    DEFAULT_DTYPE,
     BatchNormState,
     Tensor,
     add,
@@ -123,16 +124,16 @@ class AttentionParams:
 
     @classmethod
     def init(cls, channels: int, heads: int, rng: np.random.Generator | None,
-             std: float = 0.02, dtype=None) -> "AttentionParams":
+             dtype=None) -> "AttentionParams":
         if channels % heads != 0:
             raise ValueError(f"channels {channels} not divisible by heads {heads}")
         head_dim = channels // heads
         shape = (channels, heads * head_dim)
         return cls(
-            w_q=init_weight(shape, std, rng, dtype),
-            w_k=init_weight(shape, std, rng, dtype),
-            w_v=init_weight(shape, std, rng, dtype),
-            w_o=init_weight((heads * head_dim, channels), std, rng, dtype),
+            w_q=init_weight(shape, rng, dtype),
+            w_k=init_weight(shape, rng, dtype),
+            w_v=init_weight(shape, rng, dtype),
+            w_o=init_weight((heads * head_dim, channels), rng, dtype),
             heads=heads,
             head_dim=head_dim,
         )
@@ -156,14 +157,14 @@ def windowed_attention(x: Tensor, plan: PartitionPlan,
     h, dh = params.heads, params.head_dim
 
     def split_heads(t: Tensor) -> Tensor:
-        t = reshape(t, (b, k, h, dh))
-        return transpose(t, (0, 2, 1, 3))  # (B, H, K, dh)
+        """(B*K, H*dh) -> (B, H, K, dh)."""
+        return transpose(reshape(t, (b, k, h, dh)), (0, 2, 1, 3))
 
     windows = apply_plan(x, plan)                       # (B, K, C)
     flat = reshape(windows, (b * k, x.shape[1]))
-    q = split_heads(reshape(matmul(flat, params.w_q), (b, k, h * dh)))
-    key = split_heads(reshape(matmul(flat, params.w_k), (b, k, h * dh)))
-    val = split_heads(reshape(matmul(flat, params.w_v), (b, k, h * dh)))
+    q = split_heads(matmul(flat, params.w_q))
+    key = split_heads(matmul(flat, params.w_k))
+    val = split_heads(matmul(flat, params.w_v))
 
     q = mul(q, 1.0 / np.sqrt(dh))
     scores = matmul(q, transpose(key, (0, 1, 3, 2)))    # (B, H, K, K)
@@ -186,9 +187,7 @@ class CpeParams:
 
     @classmethod
     def init(cls, channels: int, dtype=None) -> "CpeParams":
-        from .tensor import default_dtype
-
-        dt = dtype or default_dtype()
+        dt = dtype or DEFAULT_DTYPE
         return cls(Tensor(np.zeros((27, channels), dtype=dt)),
                    BatchNormState.create(channels, dtype=dt))
 

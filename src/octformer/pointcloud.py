@@ -93,6 +93,8 @@ def _read_ply(path: str) -> RawCloud:
                 if in_vertex:
                     count = int(tok[2]) if tok[2:3] and tok[2].isdecimal() else -1
             elif tok[0] == "property" and in_vertex:
+                if len(tok) < 3:
+                    raise DataError(f"{path}: vertex property without a name")
                 props.append((tok[2], tok[1]))
             elif tok[0] == "end_header":
                 break
@@ -124,7 +126,10 @@ def _read_ply(path: str) -> RawCloud:
             for col, (name, typ) in enumerate(props):
                 if name not in _PLY_PROPS:
                     continue
-                v = float(fields[col])
+                try:
+                    v = float(fields[col])
+                except ValueError:
+                    raise DataError(f"{path}: unparseable number in vertex row {i}") from None
                 if typ in ("uchar", "uint8"):
                     v /= 255.0
                 data[i, _PLY_PROPS[name]] = v

@@ -12,6 +12,9 @@ from . import morton
 from .network import LabeledCloud
 from .octree import QuantizedCloud
 
+COLOR_NOISE = 0.3  # std of the Gaussian noise on two-spheres colors
+SURFACE_SPHERES = 5  # spheres in a ``surface_cells`` cloud
+
 
 def sphere_points(rng: np.random.Generator, n: int, center: np.ndarray,
                   radius: float) -> np.ndarray:
@@ -25,7 +28,7 @@ def _clip_unit(points: np.ndarray) -> np.ndarray:
 
 
 def two_spheres_dataset(n_clouds: int, points_per_cloud: int, depth: int,
-                        seed: int, color_noise: float = 0.3) -> list[LabeledCloud]:
+                        seed: int) -> list[LabeledCloud]:
     """Binary segmentation set: two interleaved spheres per cloud.
 
     The label is the sphere a point lies on; colors are label-correlated
@@ -44,7 +47,7 @@ def two_spheres_dataset(n_clouds: int, points_per_cloud: int, depth: int,
         labels = np.concatenate([np.zeros(n0, dtype=np.int64),
                                  np.ones(n1, dtype=np.int64)])
         base = np.where(labels[:, None] == 0, [0.8, 0.2, 0.2], [0.2, 0.2, 0.8])
-        colors = np.clip(base + rng.normal(scale=color_noise, size=(positions.shape[0], 3)),
+        colors = np.clip(base + rng.normal(scale=COLOR_NOISE, size=(positions.shape[0], 3)),
                          0.0, 1.0)
         order = rng.permutation(positions.shape[0])
         cloud = QuantizedCloud(positions[order], depth, colors=colors[order])
@@ -77,21 +80,20 @@ def octant_task_cloud(points_per_octant: int, depth: int, seed: int) -> LabeledC
     return LabeledCloud(QuantizedCloud(positions, depth, colors=colors), labels)
 
 
-def surface_depth(n_cells: int, n_spheres: int = 5) -> int:
+def surface_depth(n_cells: int) -> int:
     """Octree depth at which ``n_cells`` surface cells stay locally dense.
 
     Picks the shallowest depth whose sphere radii (sized so the union
     surface holds ~1.4x the requested cells) still fit inside the cube.
     """
     for depth in range(6, 22):
-        r = np.sqrt(1.4 * n_cells / (4 * np.pi * n_spheres * 4.0**depth))
+        r = np.sqrt(1.4 * n_cells / (4 * np.pi * SURFACE_SPHERES * 4.0**depth))
         if r <= 0.22:
             return depth
     raise ValueError("cell target too large")
 
 
-def surface_cells(n_cells: int, depth: int, seed: int,
-                  n_spheres: int = 5) -> np.ndarray:
+def surface_cells(n_cells: int, depth: int, seed: int) -> np.ndarray:
     """Exactly ``n_cells`` distinct occupied cells on a union of spheres.
 
     Returns sorted shuffled keys; used by the bench harness to control the
@@ -100,16 +102,16 @@ def surface_cells(n_cells: int, depth: int, seed: int,
     way scanned surfaces are.
     """
     rng = np.random.default_rng(seed)
-    base_r = np.sqrt(1.4 * n_cells / (4 * np.pi * n_spheres * 4.0**depth))
+    base_r = np.sqrt(1.4 * n_cells / (4 * np.pi * SURFACE_SPHERES * 4.0**depth))
     base_r = min(max(base_r, 2.0 / (1 << depth)), 0.22)
-    radii = base_r * rng.uniform(0.8, 1.2, size=n_spheres)
+    radii = base_r * rng.uniform(0.8, 1.2, size=SURFACE_SPHERES)
     radii = np.clip(radii, 2.0 / (1 << depth), 0.22)
     lo, hi = 0.05 + radii, 0.95 - radii
-    centers = lo[:, None] + rng.random((n_spheres, 3)) * (hi - lo)[:, None]
+    centers = lo[:, None] + rng.random((SURFACE_SPHERES, 3)) * (hi - lo)[:, None]
     keys = np.empty(0, dtype=np.uint64)
     batch = max(4 * n_cells, 4096)
     while keys.size < n_cells:
-        which = rng.integers(0, n_spheres, size=batch)
+        which = rng.integers(0, SURFACE_SPHERES, size=batch)
         pts = sphere_points(rng, batch, centers[which], radii[which, None])
         pts = _clip_unit(pts)
         cells = np.floor(pts * (1 << depth)).astype(np.int64)

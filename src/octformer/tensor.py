@@ -26,19 +26,8 @@ from scipy.special import erf
 
 from .errors import NumericError, ShapeError
 
-_DEFAULT_DTYPE = np.float32
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("default dtype must be float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
+DEFAULT_DTYPE = np.float32  # what a non-float array becomes; a ``dtype=`` overrides
+INIT_STD = 0.02  # std of every initial weight draw
 
 
 class Tensor:
@@ -51,7 +40,7 @@ class Tensor:
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
+            arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
 
     @property
@@ -412,7 +401,7 @@ class BatchNormState:
     @classmethod
     def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5,
                dtype=None) -> "BatchNormState":
-        dt = dtype or default_dtype()
+        dt = dtype or DEFAULT_DTYPE
         return cls(
             gamma=Tensor(np.ones(channels, dtype=dt)),
             beta=Tensor(np.zeros(channels, dtype=dt)),
@@ -507,17 +496,18 @@ def assert_finite(x: Tensor, context: str) -> None:
 
 def trunc_normal(shape, std: float, rng: np.random.Generator, dtype=None) -> Tensor:
     """Normal(0, std) clipped at 2 std; the usual transformer weight init."""
-    dt = dtype or default_dtype()
+    dt = dtype or DEFAULT_DTYPE
     v = rng.normal(0.0, std, size=shape)
     return Tensor(np.clip(v, -2.0 * std, 2.0 * std).astype(dt))
 
 
-def init_weight(shape, std: float, rng: np.random.Generator | None, dtype=None) -> Tensor:
-    """A :func:`trunc_normal` draw; with ``rng`` None, a read-only zero-stride
-    placeholder of that shape and dtype (no RNG, no memory) for a loader to fill."""
+def init_weight(shape, rng: np.random.Generator | None, dtype=None) -> Tensor:
+    """A :func:`trunc_normal` draw at ``INIT_STD``; with ``rng`` None, a read-only
+    zero-stride placeholder of that shape and dtype (no RNG, no memory) for a
+    loader to fill."""
     if rng is None:
-        return Tensor(np.broadcast_to(np.zeros((), dtype or default_dtype()), shape))
-    return trunc_normal(shape, std, rng, dtype)
+        return Tensor(np.broadcast_to(np.zeros((), dtype or DEFAULT_DTYPE), shape))
+    return trunc_normal(shape, INIT_STD, rng, dtype)
 
 
 @dataclass
@@ -527,11 +517,10 @@ class LinearParams:
 
     @classmethod
     def init(cls, fan_in: int, fan_out: int, rng: np.random.Generator | None,
-             bias: bool = True, std: float = 0.02, dtype=None) -> "LinearParams":
-        dt = dtype or default_dtype()
-        w = init_weight((fan_in, fan_out), std, rng, dt)
-        b = Tensor(np.zeros(fan_out, dtype=dt)) if bias else None
-        return cls(w, b)
+             dtype=None) -> "LinearParams":
+        dt = dtype or DEFAULT_DTYPE
+        return cls(init_weight((fan_in, fan_out), rng, dt),
+                   Tensor(np.zeros(fan_out, dtype=dt)))
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
@@ -555,7 +544,7 @@ class LayerNormParams:
 
     @classmethod
     def init(cls, channels: int, dtype=None) -> "LayerNormParams":
-        dt = dtype or default_dtype()
+        dt = dtype or DEFAULT_DTYPE
         return cls(Tensor(np.ones(channels, dtype=dt)),
                    Tensor(np.zeros(channels, dtype=dt)))
 

@@ -337,15 +337,6 @@ def test_reshape_transpose_gradcheck():
     gradcheck(build, [(6, 4), (24,)])
 
 
-def test_default_dtype_switch():
-    T.set_default_dtype(np.float64)
-    try:
-        assert T.Tensor([1, 2]).dtype == np.float64
-    finally:
-        T.set_default_dtype(np.float32)
-    assert T.Tensor([1, 2]).dtype == np.float32
-
-
 # -- scalar operands ------------------------------------------------------------
 
 # op under test, and its float64 numpy reference: (x, s, upstream g) -> (out, dx)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from octformer import cli
+from octformer.bench import BenchSettings
 from octformer.config import load_run_config, parse_run_config
 from octformer.errors import ConfigError
+from octformer.network import OptimSettings
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +39,21 @@ def test_config_range_checks():
         parse_run_config({"bench": {"variants": ["octree", "hexagonal"]}})
     with pytest.raises(ConfigError):
         parse_run_config({"dataset": {"kind": "mnist"}})
+    with pytest.raises(ConfigError):
+        parse_run_config({"bench": {"trials": 0}})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OptimSettings(steps=0),
+    lambda: OptimSettings(batch_size=0),
+    lambda: OptimSettings(lr=-1),
+    lambda: BenchSettings(variants=("hexagonal",)),
+    lambda: BenchSettings(sizes=(0,)),
+    lambda: BenchSettings(variants=("knn",), sizes=(20,), k_neighbors=64),
+], ids=["steps", "batch_size", "lr", "variant", "size", "k_neighbors"])
+def test_settings_check_their_ranges_without_the_json_path(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_config_value_types():
@@ -159,6 +176,21 @@ def test_cli_ply_vertex_count_beyond_file_exits_2_with_one_line(tmp_path, capsys
                    f"element vertex {count}\n"
                    "property float x\nproperty float y\nproperty float z\n"
                    "end_header\n0.1 0.2 0.3\n0.4 0.5 0.6\n")
+    code, _, err = run_cli(capsys, "build-octree", str(src), "--depth", "4",
+                           "--dump", str(tmp_path / "t.octf"))
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("header, row", [
+    ("property float x\nproperty float y\nproperty float z\n", "0.1 abc 0.3"),
+    ("property float x\nproperty float y\nproperty float z\nproperty float\n",
+     "0.1 0.2 0.3 0.4"),
+], ids=["non-numeric-value", "unnamed-property"])
+def test_cli_malformed_ply_exits_2_with_one_line(tmp_path, capsys, header, row):
+    src = tmp_path / "pts.ply"
+    src.write_text("ply\nformat ascii 1.0\nelement vertex 2\n" + header
+                   + f"end_header\n{row}\n{row}\n")
     code, _, err = run_cli(capsys, "build-octree", str(src), "--depth", "4",
                            "--dump", str(tmp_path / "t.octf"))
     assert code == cli.EXIT_DATA
