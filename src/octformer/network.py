@@ -38,7 +38,7 @@ from .tensor import (
     backward,
     cross_entropy,
     gather_rows,
-    gelu,
+    gelu_mlp,
     linear,
     mean_,
     relu,
@@ -274,7 +274,7 @@ class FeaturePyramid:
 
 
 def mlp_forward(x: Tensor, mlp: MlpParams) -> Tensor:
-    return linear(gelu(linear(x, mlp.fc1)), mlp.fc2)
+    return gelu_mlp(x, mlp.fc1, mlp.fc2)
 
 
 def octformer_block(x: Tensor, octree: Octree, depth: int, block: BlockParams,
@@ -349,7 +349,8 @@ def point_ancestor_index(octree: Octree, target_depth: int) -> np.ndarray:
 
 def fpn_segmentation_head(pyramid: FeaturePyramid, octree: Octree,
                           head: SegHeadParams, training: bool = False) -> Tensor:
-    """Top-down merge of the pyramid, k3 conv, then a per-point MLP."""
+    """Top-down merge of the pyramid, k3 conv, then an MLP per finest node,
+    whose logits every point inside that node takes."""
     if len(pyramid.levels) != len(head.lateral):
         raise ShapeError("pyramid and head level counts differ")
     for lvl, d in zip(pyramid.levels, pyramid.depths):
@@ -362,9 +363,8 @@ def fpn_segmentation_head(pyramid: FeaturePyramid, octree: Octree,
         up = gather_rows(u, octree.parent_index[fine_depth])  # parent -> children copy
         u = add(up, linear(pyramid.levels[i], head.lateral[i]))
     u = octree_conv(u, octree, pyramid.depths[0], head.fuse)
-    point_feats = gather_rows(u, point_ancestor_index(octree, pyramid.depths[0]))
-    hidden = relu(linear(point_feats, head.hidden))
-    return linear(hidden, head.classifier)
+    logits = linear(relu(linear(u, head.hidden)), head.classifier)
+    return gather_rows(logits, point_ancestor_index(octree, pyramid.depths[0]))
 
 
 def classification_head(pyramid: FeaturePyramid, head: ClsHeadParams) -> Tensor:

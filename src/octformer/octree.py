@@ -148,11 +148,14 @@ class Octree:
                 table = children[:-1]  # children by slot are the k2 stride-2 taps
             else:
                 up = self.tap_table(depth - 1, 3, 1) if depth > 1 else _ROOT_TAPS
-                if stride == 1:
-                    slots = (self.keys[depth] & np.uint64(7)).astype(np.intp)
-                    q = self.parent_index[depth] if depth > 1 else 0
-                    up = np.asarray(up)[np.reshape(q, (-1, 1)), parent_of[slots]]
-                    table = children[up, slot_of[slots]]
+                if stride == 1:  # one anchor slot at a time: (N_s, taps) temporaries
+                    slots = self.keys[depth] & np.uint64(7)
+                    q = self.parent_index[depth] if depth > 1 else np.zeros(slots.shape, np.intp)
+                    table = np.empty((slots.shape[0], kernel**3), np.int64)
+                    for s in range(8):
+                        rows = np.flatnonzero(slots == s)
+                        table[rows] = children[np.asarray(up)[q[rows, None], parent_of[s]],
+                                               slot_of[s]]
                 else:
                     table = children[np.asarray(up)[:, parent_of[0]], slot_of[0]]
             rows = [np.flatnonzero(col >= 0) for col in table.T]

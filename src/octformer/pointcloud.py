@@ -8,6 +8,7 @@ properties (uchar color properties are rescaled from [0, 255]).
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,22 @@ def read_points(path: str) -> RawCloud:
 
 
 def _read_xyz(path: str) -> RawCloud:
+    with open(path) as f, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            data = np.loadtxt(f, comments="#", ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[0] == 0 or data.shape[1] not in (3, 6, 9):
+        data = _scan_xyz(path)  # raises the line-numbered error, or parses what float() takes
+    _check_finite(path, data)
+    colors = data[:, 3:6] if data.shape[1] >= 6 else None
+    normals = data[:, 6:9] if data.shape[1] == 9 else None
+    return RawCloud(data[:, :3], colors, normals)
+
+
+def _scan_xyz(path: str) -> np.ndarray:
+    """Parse line by line; each error names the ``path:lineno`` it is on."""
     rows = []
     width = None
     with open(path) as f:
@@ -51,11 +68,7 @@ def _read_xyz(path: str) -> RawCloud:
                 raise DataError(f"{path}:{lineno}: unparseable number") from None
     if not rows:
         raise DataError(f"{path}: no points")
-    data = np.asarray(rows, dtype=np.float64)
-    _check_finite(path, data)
-    colors = data[:, 3:6] if data.shape[1] >= 6 else None
-    normals = data[:, 6:9] if data.shape[1] == 9 else None
-    return RawCloud(data[:, :3], colors, normals)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _check_finite(path: str, data: np.ndarray) -> None:

@@ -12,7 +12,9 @@ and a scalar never promotes: a Python or numpy scalar operand of ``add``,
 ``sub`` or ``mul`` takes the dtype of the tensor operand. Ops write only into
 arrays they allocated themselves, never into an input, so an in-place step
 (``linear``'s bias add, the passes of ``gelu``, ``softmax`` and the norms)
-computes the same bits as the expression it replaces.
+computes the same bits as the expression it replaces. The exception is float32
+``gelu``, whose erf is a rational approximation rather than scipy's (see
+:func:`_gaussian_cdf`); float64 ``gelu`` is scipy's, bit for bit.
 """
 
 from __future__ import annotations
@@ -325,22 +327,57 @@ def relu(x: Tensor) -> Tensor:
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# float32 erf(u) = u P(u^2) / Q(u^2) on u clipped to [-4, 4], the rational of
+# Eigen's generic_fast_erf_float; highest power first. P is stored halved, so
+# that u P / Q is (erf u) / 2, which is exact in binary floating point.
+_ERF32_HALF_P = tuple(0.5 * c for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+            -7.37332916720468e-03, -1.42647390514189e-02)
+
+
+def _horner(u2: np.ndarray, coeffs) -> np.ndarray:
+    acc = np.multiply(u2, coeffs[0])
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= u2
+        acc += c
+    return acc
+
+
+def _gaussian_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, the gelu kernel, written to ``out``.
+
+    Float64 evaluates scipy's erf. Float32 evaluates the clamped rational
+    above; gelu then lies within 2.7e-7 * max(1, |x|) of the float64 gelu.
+    """
+    u = np.multiply(x, _INV_SQRT2, out=np.empty_like(x) if out is None else out)
+    if u.dtype != np.float32:
+        erf(u, out=u)
+        u += 1.0
+        u *= 0.5
+        return u
+    np.clip(u, -4.0, 4.0, out=u)
+    u2 = u * u
+    half_erf = _horner(u2, _ERF32_HALF_P)
+    half_erf *= u
+    half_erf /= _horner(u2, _ERF32_Q)
+    return np.add(half_erf, 0.5, out=u)
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return (g * (cdf + x * pdf)).astype(x.dtype)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-CDF gelu (erf form, not the tanh approximation)."""
     x = as_tensor(x)
-    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = _gaussian_cdf(x.data)
     out = Tensor(x.data * cdf)
-
-    def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return ((g * (cdf + x.data * pdf)).astype(x.dtype),)
-
-    _record(out, (x,), vjp)
+    _record(out, (x,), lambda g: (_gelu_grad(g, x.data, cdf),))
     return out
 
 
@@ -534,6 +571,54 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     out += p.bias.data
     return from_op(out, (x, w, p.bias),
                    lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+
+
+# Most hidden activations in one row block of :func:`gelu_mlp`: the block's
+# working set, about four float32 arrays of that size, stays in a 2 MB L2 cache.
+MLP_BLOCK_ELEMENTS = 1 << 17
+
+
+def gelu_mlp(x: Tensor, fc1: LinearParams, fc2: LinearParams) -> Tensor:
+    """``linear(gelu(linear(x, fc1)), fc2)`` as one taped op, with their bits.
+
+    Runs over blocks of rows, each block's output written straight into the
+    result. The full (N, hidden) pre-activation and its gelu cdf exist only
+    while a tape records, for the vjp, which evaluates the expressions of the
+    ``linear``, ``gelu`` and ``linear`` vjps.
+    """
+    x = as_tensor(x)
+    w1, b1, w2, b2 = fc1.weight, fc1.bias, fc2.weight, fc2.bias
+    if x.ndim != 2 or x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ShapeError(f"mlp wants (N, {w1.shape[0]}) input and fc2 rows "
+                         f"{w1.shape[1]}, got {x.shape} and {w2.shape}")
+    n, hidden = x.shape[0], w1.shape[1]
+    h_dtype = np.result_type(x.data, w1.data)
+    out = np.empty((n, w2.shape[1]), np.result_type(h_dtype, w2.data))
+    taped = bool(_ACTIVE)
+    if taped:
+        h_all = np.empty((n, hidden), h_dtype)
+        cdf_all = np.empty_like(h_all)
+    # equal blocks, so that no block is much shorter than the rest: BLAS may
+    # pick another kernel (and summation order) for a few rows than for many
+    blocks = max(1, -(-n * hidden // MLP_BLOCK_ELEMENTS))
+    for i in range(blocks):
+        blk = slice(n * i // blocks, n * (i + 1) // blocks)
+        h = np.matmul(x.data[blk], w1.data, out=h_all[blk] if taped else None)
+        h += b1.data
+        cdf = _gaussian_cdf(h, cdf_all[blk] if taped else None)
+        a = np.multiply(h, cdf, out=None if taped else cdf)
+        np.matmul(a, w2.data, out=out[blk])
+        out[blk] += b2.data
+    if not taped:
+        return Tensor(out)
+
+    def vjp(g):
+        a = h_all * cdf_all
+        ga = g @ w2.data.T
+        gh = _gelu_grad(ga, h_all, cdf_all)
+        return gh @ w1.data.T, x.data.T @ gh, gh.sum(axis=0), a.T @ g, g.sum(axis=0)
+
+    return from_op(out, (x, w1, b1, w2, b2), vjp)
 
 
 @dataclass

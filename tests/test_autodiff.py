@@ -416,9 +416,10 @@ def test_rewritten_ops_match_numpy_bit_for_bit(dtype):
     gamma, beta = r.normal(size=24).astype(dtype), r.normal(size=24).astype(dtype)
     w, b = r.normal(size=(24, 10)).astype(dtype), r.normal(size=10).astype(dtype)
 
-    assert np.array_equal(T.gelu(T.Tensor(x)).data, gelu(x))
-    zero_d = np.asarray(0.7, dtype=dtype)  # x * c is a numpy scalar here
-    assert np.array_equal(T.gelu(T.Tensor(zero_d)).data, gelu(zero_d))
+    if dtype == np.float64:  # float32 gelu is a rational erf: test_gelu_float32_oracle
+        assert np.array_equal(T.gelu(T.Tensor(x)).data, gelu(x))
+        zero_d = np.asarray(0.7, dtype=dtype)  # x * c is a numpy scalar here
+        assert np.array_equal(T.gelu(T.Tensor(zero_d)).data, gelu(zero_d))
     scores = x.reshape(37, 2, 12)
     assert np.array_equal(T.softmax(T.Tensor(scores)).data, softmax(scores))
 
@@ -462,3 +463,120 @@ def test_linear_shape_error():
     for shape in ((5, 3), (2, 5, 4), (4,)):
         with pytest.raises(ShapeError):
             T.linear(T.Tensor(np.zeros(shape)), p)
+
+
+# -- float32 gelu and the fused mlp ---------------------------------------------
+
+GELU32_BOUND = 5e-7  # |gelu32(x) - gelu64(x)| <= GELU32_BOUND * max(1, |x|)
+
+
+def _within_gelu32_bound(got, x):
+    ref = T.gelu(T.Tensor(np.asarray(x, np.float64))).data
+    return bool((np.abs(got - ref) <= GELU32_BOUND * np.maximum(1.0, np.abs(x))).all())
+
+
+def test_gelu_float32_oracle():
+    x = np.concatenate([np.linspace(-10, 10, 400_001, dtype=np.float32),
+                        (rng(21).normal(size=888) * 3).astype(np.float32)])
+    got = T.gelu(T.Tensor(x)).data
+    assert got.dtype == np.float32 and _within_gelu32_bound(got, x)
+
+    zero_d = np.asarray(0.7, np.float32)
+    got = T.gelu(T.Tensor(zero_d)).data
+    assert got.shape == () and got.dtype == np.float32 and _within_gelu32_bound(got, zero_d)
+
+    # signed zeros, infinities and nan come out as scipy's erf gives them
+    gelu, _, _ = _reference_expressions()
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32)
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        got, want = T.gelu(T.Tensor(special)).data, gelu(special)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _mlp_params(r, c, hidden, dtype):
+    def lin(fan_in, fan_out):
+        return T.LinearParams(T.Tensor(r.normal(size=(fan_in, fan_out)) * 0.3, dtype),
+                              T.Tensor(r.normal(size=fan_out) * 0.3, dtype))
+    return lin(c, hidden), lin(hidden, c)
+
+
+def _mlp_chain(x, fc1, fc2):
+    return T.linear(T.gelu(T.linear(x, fc1)), fc2)
+
+
+def _mlp_outputs(mlp, x, fc1, fc2, cotangent):
+    """Forward output and the gradients of x, W1, b1, W2 and b2."""
+    with T.Tape() as tape:
+        y = mlp(x, fc1, fc2)
+        loss = T.sum_(T.mul(y, cotangent))
+    T.backward(tape, loss)
+    return [y.data] + [tape.grad(t) for t in (x, fc1.weight, fc1.bias,
+                                               fc2.weight, fc2.bias)]
+
+
+@pytest.mark.parametrize("weight_dtype", [np.float64, np.float32])
+def test_gelu_mlp_float64_matches_chain_bit_for_bit(weight_dtype):
+    r = rng(23)
+    c, hidden = 24, 96
+    rows = T.MLP_BLOCK_ELEMENTS // hidden
+    n = 3 * rows + 1  # one row past three full blocks: a lone row would take gemv
+    fc1, fc2 = _mlp_params(r, c, hidden, weight_dtype)
+    x = T.Tensor(r.normal(size=(n, c)), np.float64)
+    cotangent = T.Tensor(r.normal(size=(n, c)), np.float64)
+    got = _mlp_outputs(T.gelu_mlp, x, fc1, fc2, cotangent)
+    want = _mlp_outputs(_mlp_chain, x, fc1, fc2, cotangent)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert T.gelu_mlp(x, fc1, fc2).data.tobytes() == want[0].tobytes()  # no tape
+
+
+def test_gelu_mlp_float32_meets_the_gelu_oracle():
+    # identity weights and zero biases make the op gelu itself, exactly
+    c = 64
+    eye = T.LinearParams(T.Tensor(np.eye(c, dtype=np.float32)),
+                         T.Tensor(np.zeros(c, dtype=np.float32)))
+    x = np.linspace(-10, 10, 4 * T.MLP_BLOCK_ELEMENTS + 3 * c, dtype=np.float32)
+    x = x.reshape(-1, c)
+    got = T.gelu_mlp(T.Tensor(x), eye, eye).data
+    assert got.dtype == np.float32 and _within_gelu32_bound(got, x)
+
+    # general weights: the same bits as the float32 three-op chain
+    r = rng(24)
+    fc1, fc2 = _mlp_params(r, 24, 96, np.float32)
+    x = T.Tensor(r.normal(size=(3 * (T.MLP_BLOCK_ELEMENTS // 96) + 17, 24)), np.float32)
+    assert T.gelu_mlp(x, fc1, fc2).data.tobytes() == _mlp_chain(x, fc1, fc2).data.tobytes()
+
+
+def test_gelu_mlp_gradcheck(monkeypatch):
+    monkeypatch.setattr(T, "MLP_BLOCK_ELEMENTS", 40)  # 6 rows x 16 hidden: 3 blocks
+
+    def build(xs):
+        y = T.gelu_mlp(xs[0], T.LinearParams(xs[1], xs[2]), T.LinearParams(xs[3], xs[4]))
+        return T.sum_(T.mul(y, xs[5]))
+
+    gradcheck(build, [(6, 4), (4, 16), (16,), (16, 4), (4,), (6, 4)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_mlp_without_tape_keeps_no_full_hidden_array(dtype):
+    import tracemalloc
+
+    r = rng(25)
+    n, c = 16384, 32
+    fc1, fc2 = _mlp_params(r, c, 4 * c, dtype)
+    x = T.Tensor(r.normal(size=(n, c)), dtype)
+    tracemalloc.start()
+    try:
+        T.gelu_mlp(x, fc1, fc2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 4 * c * np.dtype(dtype).itemsize
+
+
+def test_gelu_mlp_shape_error():
+    fc1, fc2 = _mlp_params(rng(26), 4, 16, np.float64)
+    for shape in ((5, 3), (2, 5, 4), (4,)):
+        with pytest.raises(ShapeError):
+            T.gelu_mlp(T.Tensor(np.zeros(shape)), fc1, fc2)

@@ -31,7 +31,7 @@ from octformer.network import (
 from octformer.octree import QuantizedCloud, build_octree, init_leaf_features
 from octformer.synthetic import two_spheres_dataset
 
-from oracles import finite_difference_filtered, grads_close
+from oracles import finite_difference_filtered, grads_close, relative_error
 
 
 TINY = dict(channels=16, blocks=(1, 1, 1, 1), point_number=8, dilation=2,
@@ -224,6 +224,48 @@ def test_fpn_uniform_features_give_identical_logits_per_leaf():
     for node in np.unique(anchor):
         rows = logits[anchor == node]
         assert np.array_equal(rows, np.tile(rows[0], (rows.shape[0], 1)))
+
+
+def _per_point_head(pyramid, tree, head):
+    """The head with its MLP run per point, after the gather to points."""
+    from octformer.octconv import octree_conv
+
+    u = T.linear(pyramid.levels[-1], head.lateral[-1])
+    for i in range(len(pyramid.levels) - 2, -1, -1):
+        up = T.gather_rows(u, tree.parent_index[pyramid.depths[i]])
+        u = T.add(up, T.linear(pyramid.levels[i], head.lateral[i]))
+    u = octree_conv(u, tree, pyramid.depths[0], head.fuse)
+    feats = T.gather_rows(u, point_ancestor_index(tree, pyramid.depths[0]))
+    return T.linear(T.relu(T.linear(feats, head.hidden)), head.classifier)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fpn_head_per_node_matches_per_point(dtype):
+    cfg = tiny_config()
+    cloud = sphere_cloud(400, depth=7, seed=11)
+    tree = build_octree(cloud)
+    model = init_model(cfg, seed=3, dtype=dtype)
+    feats = T.Tensor(init_leaf_features(tree, cloud, **cfg.feature_flags()).data, dtype)
+    pyramid = backbone_apply(tree, feats, cfg, model.backbone, training=True)
+    labels = np.random.default_rng(12).integers(0, cfg.num_classes, size=cloud.num_points)
+    assert tree.node_count(pyramid.depths[0]) < cloud.num_points
+
+    def run(head_fn):
+        levels = [T.Tensor(lvl.data.copy()) for lvl in pyramid.levels]
+        with T.Tape() as tape:
+            logits = head_fn(dataclasses.replace(pyramid, levels=levels), tree,
+                             model.seg_head)
+            loss = T.cross_entropy(logits, labels)
+        T.backward(tape, loss)
+        wrt = levels + [t for _, t in trainable_parameters(model.seg_head)]
+        return logits.data, [tape.grad(t) for t in wrt]
+
+    got, got_grads = run(fpn_segmentation_head)
+    want, want_grads = run(_per_point_head)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    if dtype == np.float64:
+        for g, w in zip(got_grads, want_grads):
+            assert relative_error(g, w) <= 1e-12
 
 
 def test_point_ancestor_chain():

@@ -48,6 +48,44 @@ def test_read_xyz_errors(tmp_path):
         read_points(str(p))
 
 
+@pytest.mark.parametrize("width", [3, 6, 9])
+def test_read_xyz_matches_the_line_scan_bit_for_bit(tmp_path, width):
+    from octformer.pointcloud import _scan_xyz
+
+    rng = np.random.default_rng(width)
+    values = rng.normal(size=(40, width)) * 10.0 ** rng.integers(-8, 8, size=(40, width))
+    lines = ["# a header comment", ""]
+    for i, row in enumerate(values):
+        fmt = "{:.17g}" if i % 2 else "{:+.6e}"
+        lines.append("\t ".join(fmt.format(v) for v in row)
+                     + ("  # trailing comment" if i % 5 == 0 else ""))
+        if i % 7 == 0:
+            lines.append("   ")
+    p = tmp_path / "pts.xyz"
+    p.write_text("\n".join(lines) + "\n")
+    raw = read_points(str(p))
+    got = np.hstack([a for a in (raw.positions, raw.colors, raw.normals) if a is not None])
+    assert got.shape == (40, width)
+    assert got.tobytes() == _scan_xyz(str(p)).tobytes()
+
+
+def test_read_xyz_error_text_names_the_line(tmp_path):
+    p = tmp_path / "bad.xyz"
+    cases = {
+        "# c\n\n1 2\n": ":3: expected 3, 6, or 9 columns, got 2",
+        "1 2 3\n\n1 2\n": ":3: inconsistent column count",
+        "1 2 3\n1 2 zebra\n": ":2: unparseable number",
+        "# only a comment\n": ": no points",
+    }
+    for text, tail in cases.items():
+        p.write_text(text)
+        with pytest.raises(DataError) as e:
+            read_points(str(p))
+        assert str(e.value) == f"{p}{tail}"
+    p.write_text("1_0 2 3\n")  # float() reads digit separators, the fast parse does not
+    assert read_points(str(p)).positions.tolist() == [[10.0, 2.0, 3.0]]
+
+
 def test_xyz_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     raw = RawCloud(rng.normal(size=(50, 3)) * 10,
