@@ -105,13 +105,10 @@ def _make_runner(variant: str, n: int, cfg: BenchSettings):
     return run
 
 
-def bench_attention(sizes: list[int], variant: str,
-                    cfg: BenchSettings) -> list[BenchRow]:
-    """Median/IQR wall time of one attention pass per (variant, size)."""
+def bench_attention(variant: str, cfg: BenchSettings) -> list[BenchRow]:
+    """Median/IQR wall time of one attention pass per size in ``cfg.sizes``."""
     rows = []
-    for n in sizes:
-        if n < 1:
-            raise ConfigError("bench sizes must be >= 1")
+    for n in cfg.sizes:
         run = _make_runner(variant, n, cfg)
         for _ in range(cfg.warmup):
             run()

@@ -224,7 +224,7 @@ def _cmd_bench(args) -> int:
     run = load_run_config(args.config)
     rows = []
     for variant in run.bench.variants:
-        rows.extend(bench_attention(list(run.bench.sizes), variant, run.bench))
+        rows.extend(bench_attention(variant, run.bench))
     csv_text = rows_to_csv(rows)
     if run.outputs.bench_csv:
         with open(run.outputs.bench_csv, "w") as f:

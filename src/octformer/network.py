@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError, TrainingError
-from .octconv import ConvSpec, DownsampleParams, EmbeddingParams, downsample, embedding_stack, octree_conv
+from .octconv import ConvBnParams, ConvSpec, EmbeddingParams, downsample, embedding_stack, octree_conv
 from .octree import Octree, QuantizedCloud, build_octree, init_leaf_features
 from .partition import (
     AttentionParams,
@@ -159,7 +159,7 @@ class BlockParams:
 @dataclass
 class StageParams:
     blocks: list[BlockParams]
-    down: DownsampleParams | None
+    down: ConvBnParams | None  # kernel 2, stride 2
 
 
 @dataclass
@@ -200,7 +200,7 @@ def _module_params(config: NetworkConfig, rng, dtype=None):
             yield BlockParams.init(c, config.heads(c), config.mlp_ratio,
                                    1 if b % 2 == 0 else config.dilation, rng, dtype=dtype)
         if i < 3:
-            yield DownsampleParams.init(c, widths[i + 1], rng, dtype=dtype)
+            yield ConvBnParams.init(2, 2, c, widths[i + 1], rng, dtype)
     f = config.fpn_channels
     for c in widths:
         yield LinearParams.init(c, f, rng, dtype=dtype)
@@ -424,7 +424,11 @@ def load_checkpoint(path: str) -> ModelParams:
         size = os.fstat(f.fileno()).st_size
 
         def read(n: int, fmt: str | None = None):
-            """Exactly ``n`` bytes, unpacked with ``fmt`` if given."""
+            """Exactly ``n`` bytes, unpacked with ``fmt`` if given. ``n`` comes
+            from a length field, so it is checked against the bytes left
+            before anything of that size is allocated."""
+            if n > size - f.tell():
+                raise DataError(f"{path}: truncated checkpoint")
             raw = f.read(n)
             if len(raw) != n:
                 raise DataError(f"{path}: truncated checkpoint")

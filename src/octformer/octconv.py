@@ -119,8 +119,17 @@ def depthwise_conv(x: Tensor, octree: Octree, depth: int, kernel: Tensor) -> Ten
 
 @dataclass
 class ConvBnParams:
+    """A dense conv and the batch norm after it: an embedding module or a
+    stage downsample."""
+
     conv: ConvSpec
     bn: BatchNormState
+
+    @classmethod
+    def init(cls, kernel: int, stride: int, in_channels: int, out_channels: int,
+             rng: np.random.Generator | None, dtype=None) -> "ConvBnParams":
+        conv = ConvSpec.init(kernel, stride, in_channels, out_channels, rng, dtype=dtype)
+        return cls(conv, BatchNormState.create(out_channels, dtype=dtype))
 
 
 @dataclass
@@ -138,8 +147,7 @@ class EmbeddingParams:
         modules = []
         c_in = in_channels
         for kernel, stride in zip(cls.KERNELS, cls.STRIDES):
-            conv = ConvSpec.init(kernel, stride, c_in, channels, rng, dtype=dtype)
-            modules.append(ConvBnParams(conv, BatchNormState.create(channels, dtype=dtype)))
+            modules.append(ConvBnParams.init(kernel, stride, c_in, channels, rng, dtype))
             c_in = channels
         return cls(modules)
 
@@ -158,19 +166,7 @@ def embedding_stack(x: Tensor, octree: Octree, depth: int,
     return x
 
 
-@dataclass
-class DownsampleParams:
-    conv: ConvSpec  # kernel 2, stride 2
-    bn: BatchNormState
-
-    @classmethod
-    def init(cls, in_channels: int, out_channels: int, rng: np.random.Generator,
-             dtype=None) -> "DownsampleParams":
-        conv = ConvSpec.init(2, 2, in_channels, out_channels, rng, dtype=dtype)
-        return cls(conv, BatchNormState.create(out_channels, dtype=dtype))
-
-
-def downsample(x: Tensor, octree: Octree, depth: int, params: DownsampleParams,
+def downsample(x: Tensor, octree: Octree, depth: int, params: ConvBnParams,
                training: bool) -> Tensor:
     """Kernel-2 stride-2 conv + BN; output lives at depth - 1."""
     x = octree_conv(x, octree, depth, params.conv)

@@ -15,6 +15,11 @@ arrays they allocated themselves, never into an input, so an in-place step
 computes the same bits as the expression it replaces. The exception is float32
 ``gelu``, whose erf is a rational approximation rather than scipy's (see
 :func:`_gaussian_cdf`); float64 ``gelu`` is scipy's, bit for bit.
+
+Layer norm and batch norm are one op, :func:`_normalize`, that differ only in
+where their statistics come from: the last axis, the batch axis, or a batch
+norm's running statistics in eval. Their epsilon (``NORM_EPS``) and the batch
+norm momentum (``BN_MOMENTUM``) are constants.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .errors import NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float32  # what a non-float array becomes; a ``dtype=`` overrides
 INIT_STD = 0.02  # std of every initial weight draw
+NORM_EPS = 1e-5  # added to the variance in every layer and batch norm
+BN_MOMENTUM = 0.1  # weight of a training batch's statistics in the running ones
 
 
 class Tensor:
@@ -396,14 +403,20 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True, mean=mu)
-    inv = 1.0 / np.sqrt(var + eps)
+def _moments(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and (biased) variance over ``axis``, both keeping that axis."""
+    mu = x.mean(axis=axis, keepdims=True)
+    return mu, x.var(axis=axis, keepdims=True, mean=mu)
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
+               var: np.ndarray, axis: int | None) -> Tensor:
+    """``(x - mu) / sqrt(var + NORM_EPS) * gamma + beta`` as one taped op.
+
+    ``axis`` is the axis that ``mu`` and ``var`` were taken over, so the vjp
+    runs through them; None marks them as constants (batch norm in eval).
+    """
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = x.data - mu
     xhat *= inv
     y = xhat * gamma.data
@@ -412,16 +425,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def vjp(g):
         dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = (inv * (dxhat - m1 - xhat * m2)).astype(x.dtype)
+        if axis is None:
+            dx = (dxhat * inv).astype(x.dtype)
+        else:
+            m1 = dxhat.mean(axis=axis, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
+            dx = (inv * (dxhat - m1 - xhat * m2)).astype(x.dtype)
         axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        return dx, dgamma, dbeta
+        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     _record(out, (x, gamma, beta), vjp)
     return out
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    x = as_tensor(x)
+    mu, var = _moments(x.data, -1)
+    return _normalize(x, as_tensor(gamma), as_tensor(beta), mu, var, -1)
 
 
 @dataclass
@@ -432,20 +453,15 @@ class BatchNormState:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-               dtype=None) -> "BatchNormState":
+    def create(cls, channels: int, dtype=None) -> "BatchNormState":
         dt = dtype or DEFAULT_DTYPE
         return cls(
             gamma=Tensor(np.ones(channels, dtype=dt)),
             beta=Tensor(np.zeros(channels, dtype=dt)),
             running_mean=np.zeros(channels, dtype=np.float64),
             running_var=np.ones(channels, dtype=np.float64),
-            momentum=momentum,
-            eps=eps,
         )
 
 
@@ -454,38 +470,17 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"batch_norm expects (N, C), got {x.shape}")
-    n = x.shape[0]
-    gamma, beta = state.gamma, state.beta
-    if training:
-        if n < 2:
-            raise NumericError("batch_norm training needs at least 2 rows")
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        m = state.momentum
-        state.running_mean = (1 - m) * state.running_mean + m * mu.astype(np.float64)
-        state.running_var = (1 - m) * state.running_var + m * var.astype(np.float64)
-    else:
-        mu = state.running_mean.astype(x.dtype)
-        var = state.running_var.astype(x.dtype)
-    inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = x.data - mu
-    xhat *= inv
-    y = xhat * gamma.data
-    y += beta.data
-    out = Tensor(y)
-
-    def vjp(g):
-        dxhat = g * gamma.data
-        if training:
-            s1 = dxhat.sum(axis=0)
-            s2 = (dxhat * xhat).sum(axis=0)
-            dx = (inv * (dxhat - s1 / n - xhat * (s2 / n))).astype(x.dtype)
-        else:
-            dx = (dxhat * inv).astype(x.dtype)
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
-
-    _record(out, (x, gamma, beta), vjp)
-    return out
+    if not training:
+        return _normalize(x, state.gamma, state.beta,
+                          state.running_mean.astype(x.dtype),
+                          state.running_var.astype(x.dtype), None)
+    if x.shape[0] < 2:
+        raise NumericError("batch_norm training needs at least 2 rows")
+    mu, var = _moments(x.data, 0)
+    m = BN_MOMENTUM
+    state.running_mean = (1 - m) * state.running_mean + m * mu[0].astype(np.float64)
+    state.running_var = (1 - m) * state.running_var + m * var[0].astype(np.float64)
+    return _normalize(x, state.gamma, state.beta, mu, var, 0)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = -1) -> Tensor:
@@ -625,7 +620,6 @@ def gelu_mlp(x: Tensor, fc1: LinearParams, fc2: LinearParams) -> Tensor:
 class LayerNormParams:
     gamma: Tensor
     beta: Tensor
-    eps: float = 1e-5
 
     @classmethod
     def init(cls, channels: int, dtype=None) -> "LayerNormParams":
@@ -635,4 +629,4 @@ class LayerNormParams:
 
 
 def apply_layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    return layer_norm(x, p.gamma, p.beta, p.eps)
+    return layer_norm(x, p.gamma, p.beta)

@@ -427,15 +427,15 @@ def test_criterion_9_cpe_ablation(capsys):
 
 def test_criterion_10_efficiency(capsys):
     t0 = time.perf_counter()
-    sizes = [10_000, 20_000, 50_000, 100_000, 200_000]
-    oct_cfg = BenchSettings(trials=3, warmup=2, seed=0)
-    oct_rows = bench_attention(sizes, "octree", oct_cfg)
+    sizes = (10_000, 20_000, 50_000, 100_000, 200_000)
+    oct_cfg = BenchSettings(sizes=sizes, trials=3, warmup=2, seed=0)
+    oct_rows = bench_attention("octree", oct_cfg)
     ns = np.array([r.n for r in oct_rows])
     ts = np.array([r.median_s for r in oct_rows])
     r2 = linear_fit_r2(ns, ts)
 
-    knn_cfg = BenchSettings(trials=1, warmup=1, seed=0)
-    knn_row = bench_attention([100_000], "knn", knn_cfg)[0]
+    knn_cfg = BenchSettings(sizes=(100_000,), trials=1, warmup=1, seed=0)
+    knn_row = bench_attention("knn", knn_cfg)[0]
     octree_100k = float(ts[ns == 100_000][0])
     ratio = knn_row.median_s / octree_100k
     elapsed = time.perf_counter() - t0

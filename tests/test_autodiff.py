@@ -99,7 +99,7 @@ def test_layer_norm_zero_gamma_gives_beta():
 def test_layer_norm_statistics():
     x = rng(3).normal(loc=2.0, scale=3.0, size=(10, 32))
     out = T.layer_norm(T.Tensor(x, np.float64), T.Tensor(np.ones(32), np.float64),
-                       T.Tensor(np.zeros(32), np.float64), eps=1e-12).data
+                       T.Tensor(np.zeros(32), np.float64)).data
     assert np.abs(out.mean(axis=1)).max() < 1e-5
     assert np.abs(out.var(axis=1) - 1.0).max() < 1e-5
 
@@ -124,13 +124,14 @@ def test_batch_norm_train_constant_column_zero():
 
 
 def test_batch_norm_train_stats_match_two_pass():
-    state = T.BatchNormState.create(4, momentum=0.25)
+    state = T.BatchNormState.create(4)
     x = rng(5).normal(loc=1.5, scale=2.0, size=(50, 4))
     T.batch_norm(T.Tensor(x, np.float64), state, training=True)
     mu = x.mean(axis=0)
     var = ((x - mu) ** 2).mean(axis=0)
-    assert np.allclose(state.running_mean, 0.25 * mu, atol=1e-10)
-    assert np.allclose(state.running_var, 0.75 * 1.0 + 0.25 * var, atol=1e-10)
+    m = T.BN_MOMENTUM
+    assert np.allclose(state.running_mean, m * mu, atol=1e-10)
+    assert np.allclose(state.running_var, (1 - m) * 1.0 + m * var, atol=1e-10)
 
 
 def test_batch_norm_degenerate_batch():
@@ -424,19 +425,19 @@ def test_rewritten_ops_match_numpy_bit_for_bit(dtype):
     assert np.array_equal(T.softmax(T.Tensor(scores)).data, softmax(scores))
 
     mu = x.mean(axis=-1, keepdims=True)
-    ln = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), eps=1e-5).data
+    ln = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta)).data
     assert np.array_equal(ln, normalize(x, mu, x.var(axis=-1, keepdims=True),
-                                        gamma, beta, 1e-5))
+                                        gamma, beta, T.NORM_EPS))
 
     state = T.BatchNormState(T.Tensor(gamma), T.Tensor(beta),
                              r.normal(size=24), r.random(24) + 0.5)
     bn = T.batch_norm(T.Tensor(x), state, training=False).data
     assert np.array_equal(bn, normalize(x, state.running_mean.astype(dtype),
                                         state.running_var.astype(dtype),
-                                        gamma, beta, state.eps))
+                                        gamma, beta, T.NORM_EPS))
     bn = T.batch_norm(T.Tensor(x), state, training=True).data
     assert np.array_equal(bn, normalize(x, x.mean(axis=0), x.var(axis=0),
-                                        gamma, beta, state.eps))
+                                        gamma, beta, T.NORM_EPS))
 
     lin = T.linear(T.Tensor(x), T.LinearParams(T.Tensor(w), T.Tensor(b))).data
     assert np.array_equal(lin, x @ w + b)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from octformer import cli
 from octformer.bench import BenchSettings
@@ -154,6 +158,88 @@ def test_cli_segment_huge_blocks_checkpoint_exits_2_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert code == cli.EXIT_DATA
     assert err.count("\n") == 1 and "truncated checkpoint" in err
+
+
+def _record_fields(blob: bytes) -> list[tuple[int, int]]:
+    """(name-length offset, ndim offset) of every record of an OFCK file."""
+    off = 12 + int.from_bytes(blob[8:12], "little")
+    fields = []
+    while off < len(blob):
+        name_len = int.from_bytes(blob[off:off + 4], "little")
+        ndim_off = off + 4 + name_len + 1
+        ndim = int.from_bytes(blob[ndim_off:ndim_off + 4], "little")
+        shape = np.frombuffer(blob, "<u8", ndim, ndim_off + 4)
+        itemsize = 4 if blob[ndim_off - 1] == 0 else 8
+        fields.append((off, ndim_off))
+        off = ndim_off + 4 + 8 * ndim + int(np.prod(shape)) * itemsize
+    return fields
+
+
+@pytest.fixture(scope="module")
+def toy_segment_files(tmp_path_factory):
+    """A toy checkpoint's bytes and a 300-point cloud, in a module-wide dir."""
+    from octformer.network import NetworkConfig, init_model, save_checkpoint
+
+    d = tmp_path_factory.mktemp("ofck")
+    config = NetworkConfig(channels=16, blocks=(1, 1, 1, 1), point_number=8,
+                           num_classes=2, octree_depth=7, features=("position",),
+                           fpn_channels=8, head_hidden=8)
+    save_checkpoint(str(d / "m.ofck"), init_model(config, seed=0))
+    pos = np.random.default_rng(3).random((300, 3))
+    (d / "cloud.xyz").write_text(
+        "\n".join(" ".join(f"{v:.6f}" for v in p) for p in pos) + "\n")
+    return d, (d / "m.ofck").read_bytes()
+
+
+def _segment_with(d, blob: bytes) -> tuple[int, str]:
+    """Exit code and stderr of ``segment`` on the cloud with ``blob`` as the
+    checkpoint."""
+    (d / "x.ofck").write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["segment", str(d / "cloud.xyz"), "--ckpt", str(d / "x.ofck"),
+                         "--out", str(d / "labels.txt")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("field, value", [(1, 0xFFFFFFFF), (0, 0xFFFFFFF0)],
+                         ids=["ndim", "name-length"])
+def test_cli_segment_huge_length_field_exits_2_with_one_line(toy_segment_files,
+                                                             field, value):
+    # read before allocate: 8 * 0xFFFFFFFF bytes of dims would be 34 GB
+    d, blob = toy_segment_files
+    at = _record_fields(blob)[0][field]
+    code, err = _segment_with(d, blob[:at] + value.to_bytes(4, "little") + blob[at + 4:])
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "truncated checkpoint" in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("cut", "flip", "header", "name-length", "ndim")),
+       where=st.integers(0, 2**32 - 1), byte=st.integers(0, 3), bit=st.integers(0, 7))
+@example(kind="ndim", where=0, byte=3, bit=7)
+@example(kind="name-length", where=0, byte=3, bit=7)
+def test_cli_segment_corrupted_checkpoint_never_traces_back(toy_segment_files, kind,
+                                                            where, byte, bit):
+    """One flipped bit (anywhere, in the magic/version/config header, or in a
+    record's name-length or ndim field) or a truncation: exit 0, 2 or 3 with at
+    most one line on stderr."""
+    d, blob = toy_segment_files
+    if kind == "cut":
+        corrupt = blob[:where % len(blob)]
+    else:
+        if kind in ("name-length", "ndim"):
+            fields = _record_fields(blob)
+            at = fields[where % len(fields)][kind == "ndim"] + byte
+        elif kind == "header":
+            at = where % (12 + int.from_bytes(blob[8:12], "little"))
+        else:
+            at = where % len(blob)
+        corrupt = bytearray(blob)
+        corrupt[at] ^= 1 << bit
+    code, err = _segment_with(d, bytes(corrupt))
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+    assert err.count("\n") <= 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])

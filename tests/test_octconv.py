@@ -4,8 +4,8 @@ import pytest
 from octformer import tensor as T
 from octformer.errors import ConfigError, ShapeError
 from octformer.octconv import (
+    ConvBnParams,
     ConvSpec,
-    DownsampleParams,
     EmbeddingParams,
     downsample,
     embedding_stack,
@@ -205,7 +205,7 @@ def test_downsample_structure_and_widen():
     rng = np.random.default_rng(13)
     pos = rng.random((300, 3))
     tree = build_octree(QuantizedCloud(pos, 4))
-    params = DownsampleParams.init(4, 8, rng)
+    params = ConvBnParams.init(2, 2, 4, 8, rng)
     x = T.Tensor(rng.normal(size=(tree.node_count(4), 4)).astype(np.float32))
     out = downsample(x, tree, 4, params, training=True)
     assert out.shape == (tree.node_count(3), 8)

@@ -323,7 +323,7 @@ def test_cpe_isolated_node_center_tap():
     x = rng.normal(size=(2, c)).astype(np.float32)
     out = conditional_positional_encoding(T.Tensor(x), tree, 4, cpe, training=False)
     # eval-mode bn with fresh stats scales by 1/sqrt(1 + eps)
-    bn_scale = 1.0 / np.sqrt(1.0 + cpe.bn.eps)
+    bn_scale = 1.0 / np.sqrt(1.0 + T.NORM_EPS)
     assert np.allclose(out.data, x + kern[13] * x * bn_scale, atol=1e-6)
 
 

@@ -62,9 +62,9 @@ def test_linear_fit_r2():
 
 
 def test_bench_rows_and_csv():
-    cfg = BenchSettings(trials=2, warmup=0, channels=8, heads=2,
+    cfg = BenchSettings(sizes=(64, 128), trials=2, warmup=0, channels=8, heads=2,
                         point_number=8, depth=6, seed=0)
-    rows = bench_attention([64, 128], "octree", cfg)
+    rows = bench_attention("octree", cfg)
     assert [r.n for r in rows] == [64, 128]
     assert all(r.median_s > 0 and r.iqr_s >= 0 for r in rows)
     csv_text = rows_to_csv(rows)
@@ -76,10 +76,8 @@ def test_bench_rows_and_csv():
 def test_bench_guards():
     with pytest.raises(ConfigError):
         BenchSettings(trials=0)
-    cfg = BenchSettings(trials=1, warmup=0, depth=6)
+    cfg = BenchSettings(sizes=(64,), trials=1, warmup=0, depth=6)
     with pytest.raises(ConfigError):
-        bench_attention([0], "octree", cfg)
+        bench_attention("hexagonal", cfg)
     with pytest.raises(ConfigError):
-        bench_attention([64], "hexagonal", cfg)
-    with pytest.raises(ConfigError):
-        bench_attention([5000], "global", cfg)
+        bench_attention("global", BenchSettings(sizes=(5000,), trials=1, warmup=0, depth=6))
