@@ -2,7 +2,8 @@
 
 Subcommands: build-octree, partition, attend, train-toy, segment, bench,
 selftest. Exit codes: 0 success, 1 usage error, 2 data/config error,
-3 numeric or training failure.
+3 numeric or training failure. Commands run with floating-point overflow,
+invalid operations and division by zero raising, so each is a numeric error.
 
 Thread control: `--threads N` (default: the OCTFORMER_THREADS environment
 variable) caps the BLAS thread pools. It must take effect before numpy is
@@ -259,14 +260,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
+    import numpy as np
+
     from .errors import ConfigError, DataError, NumericError, TrainingError
 
     try:
-        return _COMMANDS[args.command](args)
+        # overflow, invalid and divide are numeric errors; underflow is not,
+        # since the softmax's -1e9 mask underflows by design
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
     except (DataError, ConfigError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, TrainingError) as e:
+    except (NumericError, TrainingError, FloatingPointError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
 

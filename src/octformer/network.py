@@ -418,8 +418,9 @@ def load_checkpoint(path: str) -> ModelParams:
     """Read an OFCK file. Checks, in order: magic, version, config JSON; the
     config's records against the file length (a lower bound on their bytes,
     summed module by module, so a config that wants more than the file holds
-    stops early); then each record's length, dtype tag, name and shape, and
-    that no record is missing. Nothing is drawn from an RNG."""
+    stops early); then each record's length, dtype tag, name, shape and
+    finite values, and that no record is missing. Nothing is drawn from an
+    RNG."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -475,6 +476,8 @@ def load_checkpoint(path: str) -> ModelParams:
             arr = np.empty(shape, dtype=dtype.newbyteorder("<"))
             if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise DataError(f"{path}: truncated checkpoint")
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: non-finite value in record {name!r}")
             if kind == "param":
                 value.data = arr.astype(dtype, copy=False)
             else:

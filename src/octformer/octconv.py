@@ -13,9 +13,12 @@ neighbors contribute zero, matching dense zero padding.
 
 Tap t adds ``x[in_rows] @ W[t]`` (dense) or ``x[in_rows] * w[t]``
 (depthwise) into ``out[out_rows]``, so no (N_out, taps, C) gather is built.
-Within a tap distinct outputs read distinct inputs, so backward scatters
-into ``gx[in_rows]`` with plain fancy indexing. Tap tables and their per-tap
-row pairs are built once and cached, read-only, on the ``Octree``.
+The forward runs each tap's pairs in ``tensor.row_blocks`` of its products,
+so the gather, the product and the ``out[out_rows]`` read are block-sized;
+the bits are those of the unblocked expression. Within a tap distinct
+outputs read distinct inputs, so backward scatters into ``gx[in_rows]`` with
+plain fancy indexing. Tap tables and their per-tap int32 row pairs are built
+once and cached, read-only, on the ``Octree``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .tensor import (
     from_op,
     init_weight,
     relu,
+    row_blocks,
 )
 
 
@@ -84,7 +88,9 @@ def gathered_conv(x: Tensor, idx: TapTable, weights: Tensor,
     xd, w = x.data, weights.data
     out = np.zeros((idx.shape[0], w.shape[-1]), dtype=np.result_type(xd, w))
     for (rows, cols), wt in zip(pairs, w):
-        out[rows] += xd[cols] * wt if depthwise else xd[cols] @ wt
+        for blk in row_blocks(rows.shape[0], out.shape[1]):
+            r, c = rows[blk], cols[blk]
+            out[r] += xd[c] * wt if depthwise else xd[c] @ wt
 
     def vjp(g):
         gx = np.zeros(xd.shape, dtype=g.dtype)

@@ -93,9 +93,9 @@ def tap_recurrence(kernel: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TapTable(np.ndarray):
-    """Read-only (N_out, taps) int64 index table; -1 where the cell is empty.
+    """Read-only (N_out, taps) int32 index table; -1 where the cell is empty.
 
-    ``pairs[t]`` holds tap t's present entries as ``(out_rows, in_rows)``.
+    ``pairs[t]`` holds tap t's present entries as int32 ``(out_rows, in_rows)``.
     Anchors shifted by one offset stay distinct, so each column's are too.
     """
 
@@ -104,11 +104,13 @@ class TapTable(np.ndarray):
 
 @dataclass
 class Octree:
-    """Per-depth sorted key arrays with parent/child index maps."""
+    """Per-depth sorted key arrays with parent/child index maps. Every index
+    array (parents, point assignment, child and tap tables) is int32; the
+    children of node i at depth l are the nodes whose ``keys[l+1] >> 3`` is
+    ``keys[l][i]``, a contiguous run."""
 
     depth: int
     keys: list[np.ndarray | None]          # keys[l] for l in [1, depth]
-    child_span: list[np.ndarray | None]    # (N_l, 2) ranges into keys[l+1]
     parent_index: list[np.ndarray | None]  # (N_l,) indices into keys[l-1]
     point_assignment: np.ndarray           # (P,) leaf index at max depth
     _coords: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
@@ -150,15 +152,15 @@ class Octree:
                 up = self.tap_table(depth - 1, 3, 1) if depth > 1 else _ROOT_TAPS
                 if stride == 1:  # one anchor slot at a time: (N_s, taps) temporaries
                     slots = self.keys[depth] & np.uint64(7)
-                    q = self.parent_index[depth] if depth > 1 else np.zeros(slots.shape, np.intp)
-                    table = np.empty((slots.shape[0], kernel**3), np.int64)
+                    q = self.parent_index[depth] if depth > 1 else np.zeros(slots.shape, np.int32)
+                    table = np.empty((slots.shape[0], kernel**3), np.int32)
                     for s in range(8):
                         rows = np.flatnonzero(slots == s)
                         table[rows] = children[np.asarray(up)[q[rows, None], parent_of[s]],
                                                slot_of[s]]
                 else:
                     table = children[np.asarray(up)[:, parent_of[0]], slot_of[0]]
-            rows = [np.flatnonzero(col >= 0) for col in table.T]
+            rows = [np.flatnonzero(col >= 0).astype(np.int32) for col in table.T]
             pairs = tuple((r, col[r]) for r, col in zip(rows, table.T))
             for arr in (table, *itertools.chain(*pairs)):
                 arr.setflags(write=False)
@@ -172,7 +174,7 @@ class Octree:
         that an absent neighbour (-1) propagates. Cached, read-only."""
         if depth not in self._child_tables:
             n = self.node_count(depth) if depth else 1
-            children = np.full((n + 1, 8), -1, dtype=np.int64)
+            children = np.full((n + 1, 8), -1, dtype=np.int32)
             below = self.keys[depth + 1]
             parents = self.parent_index[depth + 1] if depth else 0
             children[parents, (below & np.uint64(7)).astype(np.intp)] = np.arange(below.shape[0])
@@ -201,6 +203,9 @@ _ROOT_TAPS = np.where(np.arange(27) == 13, 0, -1)[None]  # depth 0: centre tap o
 
 def build_octree(cloud: QuantizedCloud) -> Octree:
     """Sort + dedup quantized cells, then derive every coarser level."""
+    if cloud.num_points >= 1 << 31:
+        raise DataError(f"{cloud.num_points} points: int32 octree indices address "
+                        "fewer than 2^31")
     d = cloud.depth
     point_keys = morton.encode_cells(cloud.cells(), d)
     keys: list[np.ndarray | None] = [None] * (d + 1)
@@ -208,20 +213,14 @@ def build_octree(cloud: QuantizedCloud) -> Octree:
     for level in range(d - 1, 0, -1):
         keys[level] = np.unique(keys[level + 1] >> np.uint64(3))
 
-    child_span: list[np.ndarray | None] = [None] * (d + 1)
-    for level in range(1, d):
-        lo = np.searchsorted(keys[level + 1], keys[level] << np.uint64(3))
-        hi = np.searchsorted(keys[level + 1], (keys[level] + np.uint64(1)) << np.uint64(3))
-        child_span[level] = np.stack([lo, hi], axis=1).astype(np.int64)
-
     parent_index: list[np.ndarray | None] = [None] * (d + 1)
     for level in range(2, d + 1):
         parent_index[level] = np.searchsorted(
             keys[level - 1], keys[level] >> np.uint64(3)
-        ).astype(np.int64)
+        ).astype(np.int32)
 
-    assignment = np.searchsorted(keys[d], point_keys).astype(np.int64)
-    return Octree(d, keys, child_span, parent_index, assignment)
+    assignment = np.searchsorted(keys[d], point_keys).astype(np.int32)
+    return Octree(d, keys, parent_index, assignment)
 
 
 def init_leaf_features(

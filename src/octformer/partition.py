@@ -160,19 +160,21 @@ def windowed_attention(x: Tensor, plan: PartitionPlan,
         """(B*K, H*dh) -> (B, H, K, dh)."""
         return transpose(reshape(t, (b, k, h, dh)), (0, 2, 1, 3))
 
-    windows = apply_plan(x, plan)                       # (B, K, C)
-    flat = reshape(windows, (b * k, x.shape[1]))
+    flat = reshape(apply_plan(x, plan), (b * k, x.shape[1]))  # (B*K, C) windows
     q = split_heads(matmul(flat, params.w_q))
     key = split_heads(matmul(flat, params.w_k))
     val = split_heads(matmul(flat, params.w_v))
+    del flat  # untaped, the padded windows die here
 
-    q = mul(q, 1.0 / np.sqrt(dh))
-    scores = matmul(q, transpose(key, (0, 1, 3, 2)))    # (B, H, K, K)
     pad = (plan.window_sources() >= plan.n).reshape(b, k)
     bias = np.where(pad[:, None, None, :], MASK_LOGIT, 0.0).astype(x.dtype)
-    attn = softmax(add(scores, Tensor(bias)), axis=-1)
-
-    ctx = matmul(attn, val)                             # (B, H, K, dh)
+    # No name holds a (B, H, K, K) array, so untaped each one dies as soon as
+    # the next op has read it: the scores in the mask add, the masked scores
+    # in the softmax, and the probabilities in the context matmul.
+    ctx = matmul(softmax(add(matmul(mul(q, 1.0 / np.sqrt(dh)),
+                                    transpose(key, (0, 1, 3, 2))),
+                             Tensor(bias)), axis=-1),
+                 val)                                   # (B, H, K, dh)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b * k, h * dh))
     out = reshape(matmul(ctx, params.w_o), (b, k, x.shape[1]))
     return reverse_plan(out, plan)

@@ -120,9 +120,11 @@ def check_octree() -> bool:
             if not (np.diff(keys.astype(np.int64)) > 0).all():
                 return False
         for level in range(1, depth):
-            span = tree.child_span[level]
-            if not ((span[:, 1] > span[:, 0]).all()
-                    and (span[1:, 0] == span[:-1, 1]).all()):
+            # node i's children: the run of keys[level + 1] whose >> 3 is keys[level][i]
+            up = tree.keys[level + 1] >> np.uint64(3)
+            lo = np.searchsorted(up, tree.keys[level], "left")
+            hi = np.searchsorted(up, tree.keys[level], "right")
+            if not ((hi > lo).all() and (lo[1:] == hi[:-1]).all()):
                 return False
     return True
 

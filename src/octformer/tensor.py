@@ -20,6 +20,12 @@ Layer norm and batch norm are one op, :func:`_normalize`, that differ only in
 where their statistics come from: the last axis, the batch axis, or a batch
 norm's running statistics in eval. Their epsilon (``NORM_EPS``) and the batch
 norm momentum (``BN_MOMENTUM``) are constants.
+
+Row-blocked ops (:func:`gelu_mlp` here, ``octconv.gathered_conv``) split their
+rows with one rule, :func:`row_blocks`: equal blocks of at most about
+``MLP_BLOCK_ELEMENTS`` (2^17) elements, so that no full-size temporary exists
+and the bits match the unblocked expression. :func:`gather_rows` and
+:func:`scatter_rows_add` take the octree's int32 indices as they are.
 """
 
 from __future__ import annotations
@@ -272,9 +278,10 @@ def matmul(a, b) -> Tensor:
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Row gather with an absent sentinel: idx == -1 selects a zero row."""
+    """Row gather with an absent sentinel: idx == -1 selects a zero row.
+    ``idx`` is used in its own integer dtype (the octree's int32), not copied."""
     x = as_tensor(x)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
     n = x.shape[0]
     if idx.size and idx.max() >= n:
         raise IndexError(f"gather index {int(idx.max())} >= {n}")
@@ -297,7 +304,7 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 def scatter_rows_add(y: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
     """Adjoint of :func:`gather_rows`: add row i of y into slot idx[i]."""
     y = as_tensor(y)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
     if idx.size and idx.max() >= num_rows:
         raise IndexError(f"scatter index {int(idx.max())} >= {num_rows}")
     present = idx >= 0
@@ -568,18 +575,30 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
                    lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
-# Most hidden activations in one row block of :func:`gelu_mlp`: the block's
-# working set, about four float32 arrays of that size, stays in a 2 MB L2 cache.
+# Most elements of one row block of :func:`gelu_mlp`'s hidden activations and of
+# a conv tap's products: the block's working set, about four float32 arrays of
+# that size, stays in a 2 MB L2 cache.
 MLP_BLOCK_ELEMENTS = 1 << 17
+
+
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Equal row blocks of an (n, width) array, about ``MLP_BLOCK_ELEMENTS`` each.
+
+    Equal, so that no block is much shorter than the rest: BLAS may pick
+    another kernel (and summation order) for a few rows than for many.
+    """
+    blocks = max(1, -(-n * width // MLP_BLOCK_ELEMENTS))
+    return [slice(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
 
 
 def gelu_mlp(x: Tensor, fc1: LinearParams, fc2: LinearParams) -> Tensor:
     """``linear(gelu(linear(x, fc1)), fc2)`` as one taped op, with their bits.
 
-    Runs over blocks of rows, each block's output written straight into the
-    result. The full (N, hidden) pre-activation and its gelu cdf exist only
-    while a tape records, for the vjp, which evaluates the expressions of the
-    ``linear``, ``gelu`` and ``linear`` vjps.
+    Runs over the :func:`row_blocks` of the hidden activations, each block's
+    output written straight into the result. The full (N, hidden)
+    pre-activation and its gelu cdf exist only while a tape records, for the
+    vjp, which evaluates the expressions of the ``linear``, ``gelu`` and
+    ``linear`` vjps.
     """
     x = as_tensor(x)
     w1, b1, w2, b2 = fc1.weight, fc1.bias, fc2.weight, fc2.bias
@@ -593,11 +612,7 @@ def gelu_mlp(x: Tensor, fc1: LinearParams, fc2: LinearParams) -> Tensor:
     if taped:
         h_all = np.empty((n, hidden), h_dtype)
         cdf_all = np.empty_like(h_all)
-    # equal blocks, so that no block is much shorter than the rest: BLAS may
-    # pick another kernel (and summation order) for a few rows than for many
-    blocks = max(1, -(-n * hidden // MLP_BLOCK_ELEMENTS))
-    for i in range(blocks):
-        blk = slice(n * i // blocks, n * (i + 1) // blocks)
+    for blk in row_blocks(n, hidden):
         h = np.matmul(x.data[blk], w1.data, out=h_all[blk] if taped else None)
         h += b1.data
         cdf = _gaussian_cdf(h, cdf_all[blk] if taped else None)

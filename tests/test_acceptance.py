@@ -190,10 +190,12 @@ def test_criterion_4_octree_invariants(capsys):
             keys = tree.keys[level]
             ok &= bool((np.diff(keys.astype(np.int64)) > 0).all())
         for level in range(1, depth):
-            span = tree.child_span[level]
-            ok &= bool((span[:, 1] > span[:, 0]).all())
-            ok &= span[0, 0] == 0 and span[-1, 1] == tree.node_count(level + 1)
-            ok &= bool((span[1:, 0] == span[:-1, 1]).all())
+            up = tree.keys[level + 1] >> np.uint64(3)  # children's parent keys
+            lo = np.searchsorted(up, tree.keys[level], "left")
+            hi = np.searchsorted(up, tree.keys[level], "right")
+            ok &= bool((hi > lo).all())
+            ok &= lo[0] == 0 and hi[-1] == tree.node_count(level + 1)
+            ok &= bool((lo[1:] == hi[:-1]).all())
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     with capsys.disabled():

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +243,41 @@ def test_cli_segment_corrupted_checkpoint_never_traces_back(toy_segment_files, k
     code, err = _segment_with(d, bytes(corrupt))
     assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERIC)
     assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+def _record_data_offset(blob: bytes, name: str) -> int:
+    """Byte offset of the first value of the float32 record ``name``."""
+    for off, ndim_off in _record_fields(blob):
+        name_len = int.from_bytes(blob[off:off + 4], "little")
+        if blob[off + 4:off + 4 + name_len].decode() == name:
+            assert blob[ndim_off - 1] == 0  # float32 tag
+            ndim = int.from_bytes(blob[ndim_off:ndim_off + 4], "little")
+            return ndim_off + 4 + 8 * ndim
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("value, code, message", [
+    ("inf", cli.EXIT_DATA, "non-finite value in record 'backbone.stages.1.down.conv.weights'"),
+    ("nan", cli.EXIT_DATA, "non-finite value in record 'backbone.stages.1.down.conv.weights'"),
+    ("3e38", cli.EXIT_NUMERIC, "numeric error: overflow"),
+])
+def test_cli_segment_extreme_checkpoint_value_exits_with_one_line(toy_segment_files,
+                                                                  value, code, message):
+    """A non-finite weight is a data error; a finite one so large that the
+    forward overflows is a numeric error, not a warning. Run as a subprocess,
+    so that stderr holds everything a user sees, warnings included."""
+    d, blob = toy_segment_files
+    at = _record_data_offset(blob, "backbone.stages.1.down.conv.weights")
+    (d / "v.ofck").write_bytes(blob[:at] + np.float32(value).tobytes() + blob[at + 4:])
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from octformer.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "segment", str(d / "cloud.xyz"),
+         "--ckpt", str(d / "v.ofck"), "--out", str(d / "labels.txt")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
 
 
 @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])

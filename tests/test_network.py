@@ -161,9 +161,8 @@ def test_backbone_embed_depth_pools_leaves():
     pooled = pool_to_depth(tree, feats, 8, 7).data
     assert pooled.shape == (tree.node_count(7), feats.shape[1])
     # one parent's pooled row equals the mean of its children's rows
-    span = tree.child_span[7][0]
-    assert np.allclose(pooled[0], feats.data[span[0]:span[1]].mean(axis=0),
-                       atol=1e-6)
+    children = np.flatnonzero((tree.keys[8] >> np.uint64(3)) == tree.keys[7][0])
+    assert np.allclose(pooled[0], feats.data[children].mean(axis=0), atol=1e-6)
 
 
 def test_residual_identity_reduces_to_conv_path():

@@ -9,6 +9,7 @@ from octformer.octconv import (
     EmbeddingParams,
     downsample,
     embedding_stack,
+    gathered_conv,
     octree_conv,
 )
 from octformer.octree import QuantizedCloud, build_octree
@@ -150,6 +151,44 @@ def test_conv_gradcheck(kernel, stride, depthwise):
     assert relative_error(tape.grad(xt), fd_x) < 1e-6
     fd_w = finite_difference(lambda v: loss_of(xt, T.Tensor(v)).item(), w0)
     assert relative_error(tape.grad(wt), fd_w) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_blocked_taps_match_the_per_tap_expression_bit_for_bit(dtype, depthwise):
+    # a full depth-5 grid: the centre tap has 32,768 rows, four row blocks at C_out 16
+    tree, c = full_grid_tree(5), 16
+    rng = np.random.default_rng(40)
+    for kernel, stride in ((3, 1), (2, 2)):
+        idx = tree.tap_table(5, kernel, stride)
+        x = rng.normal(size=(tree.node_count(5), c)).astype(dtype)
+        w = rng.normal(size=(kernel**3, c) if depthwise else (kernel**3, c, c)).astype(dtype)
+        want = np.zeros((idx.shape[0], c), dtype)
+        for (rows, cols), wt in zip(idx.pairs, w):
+            want[rows] += x[cols] * wt if depthwise else x[cols] @ wt
+        got = gathered_conv(T.Tensor(x), idx, T.Tensor(w), depthwise).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(T.row_blocks(len(tree.tap_table(5, 3, 1).pairs[13][0]), c)) >= 3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_conv_without_tape_keeps_no_full_tap_temporary(dtype, depthwise):
+    import tracemalloc
+
+    tree, c = full_grid_tree(5), 16
+    idx = tree.tap_table(5, 3, 1)
+    rng = np.random.default_rng(41)
+    x = T.Tensor(rng.normal(size=(tree.node_count(5), c)), dtype)
+    w = T.Tensor(rng.normal(size=(27, c) if depthwise else (27, c, c)), dtype)
+    tracemalloc.start()
+    try:
+        out = gathered_conv(x, idx, w, depthwise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_t = max(rows.shape[0] for rows, _ in idx.pairs)
+    assert peak - out.data.nbytes < n_t * c * np.dtype(dtype).itemsize
 
 
 def test_embedding_structure():

@@ -97,11 +97,13 @@ def test_octree_invariants_random():
             parents = tree.keys[level] >> np.uint64(3)
             assert np.isin(parents, tree.keys[level - 1]).all()
         for level in range(1, depth):
-            span = tree.child_span[level]
-            assert (span[:, 1] > span[:, 0]).all()  # every parent has a child
-            assert span[0, 0] == 0
-            assert (span[1:, 0] == span[:-1, 1]).all()
-            assert span[-1, 1] == tree.node_count(level + 1)
+            up = tree.keys[level + 1] >> np.uint64(3)  # children's parent keys
+            lo = np.searchsorted(up, tree.keys[level], "left")
+            hi = np.searchsorted(up, tree.keys[level], "right")
+            assert (hi > lo).all()  # every parent has a child
+            assert lo[0] == 0
+            assert (lo[1:] == hi[:-1]).all()
+            assert hi[-1] == tree.node_count(level + 1)
 
 
 def test_build_is_order_invariant():
@@ -210,7 +212,7 @@ def test_tap_table_properties(seed, n, depth, kernel_stride):
     offsets = list(itertools.product(span, span, span))  # dz fastest
     expect = [[lookup.get(tuple(a + o for a, o in zip(anchor, off)), -1)
                for off in offsets] for anchor in anchors]
-    assert table.dtype == np.int64
+    assert table.dtype == np.int32
     assert np.array_equal(table, np.array(expect, dtype=np.int64).reshape(table.shape))
 
     assert len(table.pairs) == len(offsets)

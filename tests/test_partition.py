@@ -294,6 +294,26 @@ def test_attention_gradcheck():
     assert relative_error(gq[mask], fdq[mask]) < 1e-4
 
 
+@pytest.mark.parametrize("d, dtype", [(1, np.float32), (4, np.float64)])
+def test_attention_without_tape_frees_scores_and_windows(d, dtype):
+    import tracemalloc
+
+    # 4,000 tokens, C = 32, H = 4, K = 32: one (B, H, K, K) array is four
+    # times a (padded, C) one, so a third live score array breaks the bound
+    n, c, h, k = 4000, 32, 4, 32
+    params = random_attention(c, h, seed=17, dtype=dtype)
+    plan = make_plan(n, k, d)
+    x = T.Tensor(np.random.default_rng(18).normal(size=(n, c)), dtype)
+    tracemalloc.start()
+    try:
+        windowed_attention(x, plan, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    item = np.dtype(dtype).itemsize
+    assert peak < 2 * plan.b * h * k * k * item + 5 * plan.padded * c * item
+
+
 # -- conditional positional encoding ----------------------------------------------
 
 def small_tree(seed=16, n=60, depth=3):
