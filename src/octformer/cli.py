@@ -8,7 +8,8 @@ invalid operations and division by zero raising, so each is a numeric error.
 Thread control: `--threads N` (default: the OCTFORMER_THREADS environment
 variable) caps the BLAS thread pools. It must take effect before numpy is
 first imported, so heavy modules are imported lazily inside the command
-handlers.
+handlers. scipy is not imported with the program: the first float64 GELU
+imports it (``train-toy``), so the float32 commands never load it.
 """
 
 from __future__ import annotations

@@ -545,17 +545,35 @@ class AdamW:
         return lr
 
     def step(self, grads: list[np.ndarray], lr: float) -> None:
+        """Update the moments in place and write each parameter back.
+
+        The bits are those of ``m += (1 - b1) * (g - m)``,
+        ``v += (1 - b2) * (g * g - v)`` and
+        ``p - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)``, with
+        ``wd * p`` in the parameter's dtype; the float64 copy of the gradient
+        and one scratch array hold every temporary.
+        """
         self.t += 1
         b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for (_, p), m, v, g in zip(self.params, self.m, self.v, grads):
             g = g.astype(np.float64)
-            m += (1 - b1) * (g - m)
-            v += (1 - b2) * (g * g - v)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
-            p.data = (p.data - lr * (update + self.s.weight_decay * p.data)).astype(
-                p.dtype)
+            tmp = np.subtract(g, m)
+            tmp *= 1 - b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp -= v
+            tmp *= 1 - b2
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAMW_EPS
+            update = np.divide(m, bc1, out=g)
+            update /= tmp
+            update += self.s.weight_decay * p.data
+            update *= lr
+            p.data = np.subtract(p.data, update, out=update).astype(p.dtype)
 
 
 @dataclass

@@ -30,8 +30,14 @@ def read_points(path: str) -> RawCloud:
     return _read_xyz(path)
 
 
+def _open_text(path: str):
+    """Open as UTF-8, a byte that is not UTF-8 reading as U+FFFD, so that it
+    fails to parse on its own line (or is skipped in a comment)."""
+    return open(path, encoding="utf-8", errors="replace")
+
+
 def _read_xyz(path: str) -> RawCloud:
-    with open(path) as f, warnings.catch_warnings():
+    with _open_text(path) as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         try:
             data = np.loadtxt(f, comments="#", ndmin=2)
@@ -49,7 +55,7 @@ def _scan_xyz(path: str) -> np.ndarray:
     """Parse line by line; each error names the ``path:lineno`` it is on."""
     rows = []
     width = None
-    with open(path) as f:
+    with _open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -86,7 +92,7 @@ _PLY_PROPS = {
 
 
 def _read_ply(path: str) -> RawCloud:
-    with open(path) as f:
+    with _open_text(path) as f:
         magic, fmt = f.readline(), f.readline()
         if magic.strip() != "ply":
             raise DataError(f"{path}: not a PLY file")

@@ -14,7 +14,9 @@ arrays they allocated themselves, never into an input, so an in-place step
 (``linear``'s bias add, the passes of ``gelu``, ``softmax`` and the norms)
 computes the same bits as the expression it replaces. The exception is float32
 ``gelu``, whose erf is a rational approximation rather than scipy's (see
-:func:`_gaussian_cdf`); float64 ``gelu`` is scipy's, bit for bit.
+:func:`_gaussian_cdf`); float64 ``gelu`` is scipy's, bit for bit. scipy is
+imported at the first float64 ``gelu``, so float32 programs (``segment`` of a
+float32 checkpoint, ``attend``, ``bench``) never load it.
 
 Layer norm and batch norm are one op, :func:`_normalize`, that differ only in
 where their statistics come from: the last axis, the batch axis, or a batch
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError, ShapeError
 
@@ -364,11 +365,14 @@ def _horner(u2: np.ndarray, coeffs) -> np.ndarray:
 def _gaussian_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Phi(x) = (1 + erf(x / sqrt 2)) / 2, the gelu kernel, written to ``out``.
 
-    Float64 evaluates scipy's erf. Float32 evaluates the clamped rational
-    above; gelu then lies within 2.7e-7 * max(1, |x|) of the float64 gelu.
+    Float64 evaluates scipy's erf, imported here on first use so that float32
+    programs never load scipy. Float32 evaluates the clamped rational above;
+    gelu then lies within 2.7e-7 * max(1, |x|) of the float64 gelu.
     """
     u = np.multiply(x, _INV_SQRT2, out=np.empty_like(x) if out is None else out)
     if u.dtype != np.float32:
+        from scipy.special import erf
+
         erf(u, out=u)
         u += 1.0
         u *= 0.5

@@ -245,6 +245,46 @@ def test_cli_segment_corrupted_checkpoint_never_traces_back(toy_segment_files, k
     assert err.count("\n") <= 1 and "Traceback" not in err
 
 
+_XYZ_TOKENS = ("nan", "1e999", "-1e999", "0.5")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("flip", "cut", "insert", "replace")),
+       where=st.integers(0, 2**32 - 1), bit=st.integers(0, 7),
+       token=st.sampled_from(_XYZ_TOKENS))
+@example(kind="flip", where=0, bit=7, token="nan")  # a byte that is not UTF-8
+@example(kind="replace", where=4, bit=0, token="1e999")
+@example(kind="insert", where=9, bit=0, token="0.5")  # an extra column on one line
+def test_cli_segment_mutated_xyz_never_traces_back(toy_segment_files, kind, where,
+                                                   bit, token):
+    """A small XYZ file with one flipped bit, a truncation, a token inserted at
+    any byte, or a field replaced by ``nan``, ``1e999`` or a number: exit 0, 1,
+    2 or 3 with at most one line on stderr."""
+    d, blob = toy_segment_files
+    rows = np.random.default_rng(4).random((12, 6))
+    text = ("\n".join(" ".join(f"{v:.4f}" for v in row) for row in rows) + "\n").encode()
+    if kind == "flip":
+        at = where % len(text)
+        data = text[:at] + bytes([text[at] ^ (1 << bit)]) + text[at + 1:]
+    elif kind == "cut":
+        data = text[:where % len(text)]
+    elif kind == "insert":
+        at = where % (len(text) + 1)
+        data = text[:at] + f" {token} ".encode() + text[at:]
+    else:
+        fields = [line.split() for line in text.decode().splitlines()]
+        fields[where % len(fields)][where // len(fields) % 6] = token
+        data = ("\n".join(" ".join(row) for row in fields) + "\n").encode()
+    (d / "mutated.xyz").write_bytes(data)
+    (d / "x.ofck").write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["segment", str(d / "mutated.xyz"), "--ckpt", str(d / "x.ofck"),
+                         "--out", str(d / "labels.txt")])
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
 def _record_data_offset(blob: bytes, name: str) -> int:
     """Byte offset of the first value of the float32 record ``name``."""
     for off, ndim_off in _record_fields(blob):
@@ -310,11 +350,13 @@ def test_cli_ply_vertex_count_beyond_file_exits_2_with_one_line(tmp_path, capsys
     ("property float x\nproperty float y\nproperty float z\n", "0.1 abc 0.3"),
     ("property float x\nproperty float y\nproperty float z\nproperty float\n",
      "0.1 0.2 0.3 0.4"),
-], ids=["non-numeric-value", "unnamed-property"])
+    ("property float x\nproperty float y\nproperty float z\n", "0.1 \xff 0.3"),
+], ids=["non-numeric-value", "unnamed-property", "non-utf8-byte"])
 def test_cli_malformed_ply_exits_2_with_one_line(tmp_path, capsys, header, row):
     src = tmp_path / "pts.ply"
-    src.write_text("ply\nformat ascii 1.0\nelement vertex 2\n" + header
-                   + f"end_header\n{row}\n{row}\n")
+    # latin-1 writes "\xff" as the single byte 0xff, which is not UTF-8
+    src.write_bytes(("ply\nformat ascii 1.0\nelement vertex 2\n" + header
+                     + f"end_header\n{row}\n{row}\n").encode("latin-1"))
     code, _, err = run_cli(capsys, "build-octree", str(src), "--depth", "4",
                            "--dump", str(tmp_path / "t.octf"))
     assert code == cli.EXIT_DATA

@@ -577,3 +577,45 @@ def test_adamw_decay_schedule():
     assert opt.lr_at(59) == 1.0
     assert opt.lr_at(60) == pytest.approx(0.1)
     assert opt.lr_at(80) == pytest.approx(0.01)
+
+
+def _adamw_reference_step(params, ms, vs, grads, t, lr, weight_decay):
+    """AdamW as one expression per array; the in-place step must match its bits."""
+    from octformer.network import ADAMW_BETAS, ADAMW_EPS
+
+    b1, b2 = ADAMW_BETAS
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for p, m, v, g in zip(params, ms, vs, grads):
+        g = g.astype(np.float64)
+        m += (1 - b1) * (g - m)
+        v += (1 - b2) * (g * g - v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
+        p.data = (p.data - lr * (update + weight_decay * p.data)).astype(p.dtype)
+
+
+def test_adamw_step_matches_the_expression_bit_for_bit():
+    rng = np.random.default_rng(12)
+    shapes = [(96, 48), (48,), (3, 4, 5), (1,)]
+    dtypes = [np.float32, np.float32, np.float64, np.float32]
+    settings = OptimSettings(steps=8, lr=3e-3, weight_decay=0.05)
+    params = [T.Tensor(rng.normal(size=s), dtype=d) for s, d in zip(shapes, dtypes)]
+    ref = [T.Tensor(p.data.copy()) for p in params]
+    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], settings)
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    for step in range(settings.steps):
+        # float64 gradients as train_toy passes them, and float32 ones
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=s)
+                 .astype(np.float64 if (step + i) % 2 else np.float32)
+                 for i, s in enumerate(shapes)]
+        kept = [g.copy() for g in grads]
+        lr = opt.lr_at(step)
+        opt.step(grads, lr)
+        _adamw_reference_step(ref, ms, vs, grads, step + 1, lr, settings.weight_decay)
+        for g, k in zip(grads, kept):
+            assert g.tobytes() == k.tobytes()  # the gradients are not written
+        for p, r, m, rm, v, rv in zip(params, ref, opt.m, ms, opt.v, vs):
+            assert p.dtype == r.dtype
+            assert p.data.tobytes() == r.data.tobytes()
+            assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
