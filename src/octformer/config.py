@@ -114,9 +114,11 @@ def parse_run_config(data: dict) -> RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as e:
+        # ValueError: bad JSON, a byte that is not UTF-8, or an integer of over
+        # 4,300 digits; RecursionError: nesting beyond the parser's limit
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from None
     return parse_run_config(data)

@@ -168,13 +168,16 @@ def windowed_attention(x: Tensor, plan: PartitionPlan,
 
     pad = (plan.window_sources() >= plan.n).reshape(b, k)
     bias = np.where(pad[:, None, None, :], MASK_LOGIT, 0.0).astype(x.dtype)
-    # No name holds a (B, H, K, K) array, so untaped each one dies as soon as
-    # the next op has read it: the scores in the mask add, the masked scores
-    # in the softmax, and the probabilities in the context matmul.
-    ctx = matmul(softmax(add(matmul(mul(q, 1.0 / np.sqrt(dh)),
-                                    transpose(key, (0, 1, 3, 2))),
-                             Tensor(bias)), axis=-1),
-                 val)                                   # (B, H, K, dh)
+    # One name, rebound at each op, holds the (B, H, K, K) arrays, so untaped
+    # each one dies as soon as the next op has read it: the scores in the mask
+    # add, the masked scores in the softmax, and the probabilities in the
+    # context matmul. q and key die after the scores, val after the context.
+    attn = matmul(mul(q, 1.0 / np.sqrt(dh)), transpose(key, (0, 1, 3, 2)))
+    del q, key
+    attn = add(attn, Tensor(bias))
+    attn = softmax(attn, axis=-1)
+    ctx = matmul(attn, val)                             # (B, H, K, dh)
+    del attn, val
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b * k, h * dh))
     out = reshape(matmul(ctx, params.w_o), (b, k, x.shape[1]))
     return reverse_plan(out, plan)

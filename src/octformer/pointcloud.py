@@ -7,6 +7,7 @@ properties (uchar color properties are rescaled from [0, 255]).
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -89,6 +90,7 @@ _PLY_PROPS = {
     "red": 3, "green": 4, "blue": 5,
     "nx": 6, "ny": 7, "nz": 8,
 }
+_PLY_BYTE_TYPES = ("uchar", "uint8")  # rescaled from [0, 255]
 
 
 def _read_ply(path: str) -> RawCloud:
@@ -124,39 +126,71 @@ def _read_ply(path: str) -> RawCloud:
         names = [p[0] for p in props]
         if not all(c in names for c in ("x", "y", "z")):
             raise DataError(f"{path}: PLY lacks x/y/z properties")
+        if count == 0:
+            raise DataError(f"{path}: no points")
         # an ascii row spends at least one digit and one separator per property;
         # characters never outnumber bytes, so this never undercounts what is left
         left = os.path.getsize(path) - header_chars
         if 2 * len(props) * count > left:
             raise DataError(f"{path}: header declares {count} vertices, "
                             f"but only {left} bytes follow it")
-        data = np.full((count, 9), np.nan)
-        have = np.zeros(9, dtype=bool)
-        for col, (name, typ) in enumerate(props):
-            if name in _PLY_PROPS:
-                have[_PLY_PROPS[name]] = True
-        for i in range(count):
-            line = f.readline()
-            if not line:
-                raise DataError(f"{path}: truncated vertex data at row {i}")
-            fields = line.split()
-            if len(fields) != len(props):
-                raise DataError(f"{path}: bad vertex row {i}")
-            for col, (name, typ) in enumerate(props):
-                if name not in _PLY_PROPS:
-                    continue
-                try:
-                    v = float(fields[col])
-                except ValueError:
-                    raise DataError(f"{path}: unparseable number in vertex row {i}") from None
-                if typ in ("uchar", "uint8"):
-                    v /= 255.0
-                data[i, _PLY_PROPS[name]] = v
+        lines = list(itertools.islice(f, count))
+    data = _parse_ply_rows(path, lines, count, props)
+    have = np.zeros(9, dtype=bool)
+    for name, _ in props:
+        if name in _PLY_PROPS:
+            have[_PLY_PROPS[name]] = True
     _check_finite(path, data[:, have])
     positions = data[:, :3]
     colors = data[:, 3:6] if have[3:6].all() else None
     normals = data[:, 6:9] if have[6:9].all() else None
     return RawCloud(positions, colors, normals)
+
+
+def _parse_ply_rows(path: str, lines: list[str], count: int,
+                    props: list[tuple[str, str]]) -> np.ndarray:
+    """The ``count`` vertex rows as a (count, 9) array in ``_PLY_PROPS`` order,
+    nan where no property maps. ``loadtxt`` parses them when there are
+    ``count`` lines, every field is a number and every line has one field per
+    property; otherwise the line scan does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            table = np.loadtxt(lines, comments=None, ndmin=2)
+        except ValueError:
+            table = None
+    if table is None or table.shape != (count, len(props)):
+        return _scan_ply(path, lines, count, props)  # raises the row-numbered error
+    data = np.full((count, 9), np.nan)
+    for col, (name, typ) in enumerate(props):
+        if name in _PLY_PROPS:
+            v = table[:, col]
+            data[:, _PLY_PROPS[name]] = v / 255.0 if typ in _PLY_BYTE_TYPES else v
+    return data
+
+
+def _scan_ply(path: str, lines: list[str], count: int,
+              props: list[tuple[str, str]]) -> np.ndarray:
+    """Parse row by row; each error names the vertex row it is on. Fields of
+    properties outside ``_PLY_PROPS`` are counted but not parsed."""
+    data = np.full((count, 9), np.nan)
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if len(fields) != len(props):
+            raise DataError(f"{path}: bad vertex row {i}")
+        for col, (name, typ) in enumerate(props):
+            if name not in _PLY_PROPS:
+                continue
+            try:
+                v = float(fields[col])
+            except ValueError:
+                raise DataError(f"{path}: unparseable number in vertex row {i}") from None
+            if typ in _PLY_BYTE_TYPES:
+                v /= 255.0
+            data[i, _PLY_PROPS[name]] = v
+    if len(lines) < count:
+        raise DataError(f"{path}: truncated vertex data at row {len(lines)}")
+    return data
 
 
 def write_points(path: str, cloud: RawCloud) -> None:
@@ -166,21 +200,27 @@ def write_points(path: str, cloud: RawCloud) -> None:
         _write_xyz(path, cloud)
 
 
-def _row_fields(cloud: RawCloud, i: int) -> list[float]:
-    fields = list(cloud.positions[i])
-    if cloud.colors is not None:
-        fields += list(cloud.colors[i])
-    if cloud.normals is not None:
-        fields += list(cloud.normals[i])
-    return fields
+WRITE_CHUNK_ROWS = 4096
+
+
+def _write_rows(f, cloud: RawCloud) -> None:
+    """Write one line per point: its position, colour and normal fields, each
+    ``%.9g``. Rows are formatted in chunks of ``WRITE_CHUNK_ROWS`` from Python
+    floats, so the text held in memory stays bounded and no numpy scalar is
+    formatted."""
+    table = np.hstack([a for a in (cloud.positions, cloud.colors, cloud.normals)
+                       if a is not None])
+    row = " ".join(["%.9g"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], WRITE_CHUNK_ROWS):
+        chunk = table[start:start + WRITE_CHUNK_ROWS]
+        f.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def _write_xyz(path: str, cloud: RawCloud) -> None:
     if cloud.normals is not None and cloud.colors is None:
         raise ConfigError("xyz format cannot store normals without colors")
     with open(path, "w") as f:
-        for i in range(cloud.positions.shape[0]):
-            f.write(" ".join(f"{v:.9g}" for v in _row_fields(cloud, i)) + "\n")
+        _write_rows(f, cloud)
 
 
 def _write_ply(path: str, cloud: RawCloud) -> None:
@@ -195,8 +235,7 @@ def _write_ply(path: str, cloud: RawCloud) -> None:
         for name in names:
             f.write(f"property float {name}\n")
         f.write("end_header\n")
-        for i in range(cloud.positions.shape[0]):
-            f.write(" ".join(f"{v:.9g}" for v in _row_fields(cloud, i)) + "\n")
+        _write_rows(f, cloud)
 
 
 def normalize_cloud(raw: RawCloud, depth: int,

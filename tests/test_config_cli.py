@@ -285,6 +285,145 @@ def test_cli_segment_mutated_xyz_never_traces_back(toy_segment_files, kind, wher
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
 
 
+def _mutate(text: bytes, kind: str, where: int, bit: int, token: str,
+            first_row: int = 0) -> bytes:
+    """One flipped bit, a truncation or an inserted token at any byte, or one
+    field of a row from line ``first_row`` on replaced by ``token``."""
+    if kind == "flip":
+        at = where % len(text)
+        return text[:at] + bytes([text[at] ^ (1 << bit)]) + text[at + 1:]
+    if kind == "cut":
+        return text[:where % len(text)]
+    if kind == "insert":
+        at = where % (len(text) + 1)
+        return text[:at] + f" {token} ".encode() + text[at:]
+    lines = text.decode().splitlines()
+    row = first_row + where % (len(lines) - first_row)
+    fields = lines[row].split()
+    fields[where // len(lines) % len(fields)] = token
+    lines[row] = " ".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _ply_text() -> bytes:
+    """A 12-point ASCII PLY file: float positions and uchar colours."""
+    rng = np.random.default_rng(5)
+    rows = [" ".join([*(f"{v:.4f}" for v in p), *(str(v) for v in c)])
+            for p, c in zip(rng.random((12, 3)), rng.integers(0, 256, (12, 3)))]
+    return ("ply\nformat ascii 1.0\nelement vertex 12\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n" + "\n".join(rows) + "\n").encode()
+
+
+_PLY_HEADER_LINES = 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("flip", "cut", "insert", "replace")),
+       where=st.integers(0, 2**32 - 1), bit=st.integers(0, 7),
+       token=st.sampled_from(_XYZ_TOKENS))
+@example(kind="flip", where=200, bit=7, token="nan")  # a byte that is not UTF-8
+@example(kind="replace", where=0, bit=0, token="1e999")
+@example(kind="insert", where=190, bit=0, token="0.5")  # an extra field on one row
+@example(kind="flip", where=37, bit=0, token="nan")  # a vertex count of 13
+def test_cli_segment_mutated_ply_never_traces_back(toy_segment_files, kind, where,
+                                                   bit, token):
+    """The XYZ fuzz's mutations on a small PLY file with uchar colours: exit
+    0, 1, 2 or 3 with at most one line on stderr."""
+    d, blob = toy_segment_files
+    (d / "mutated.ply").write_bytes(
+        _mutate(_ply_text(), kind, where, bit, token, _PLY_HEADER_LINES))
+    (d / "x.ofck").write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["segment", str(d / "mutated.ply"), "--ckpt", str(d / "x.ofck"),
+                         "--out", str(d / "labels.txt")])
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _read_or_error(path: str):
+    """The bytes of each array ``read_points`` returns, or its DataError text."""
+    from octformer.errors import DataError
+    from octformer.pointcloud import read_points
+
+    try:
+        raw = read_points(path)
+    except DataError as e:
+        return str(e)
+    return [None if a is None else a.tobytes()
+            for a in (raw.positions, raw.colors, raw.normals)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("flip", "cut", "insert", "replace")),
+       where=st.integers(0, 2**32 - 1), bit=st.integers(0, 7),
+       token=st.sampled_from(_XYZ_TOKENS + ("1_0", "-0", "+nan", "255", "0x1")))
+@example(kind="replace", where=0, bit=0, token="1_0")  # float() reads it, loadtxt not
+def test_ply_loadtxt_and_line_scan_agree_on_mutated_files(fuzz_dir, kind, where, bit,
+                                                          token):
+    """The PLY reader gives the same arrays, or the same DataError text, with
+    its ``loadtxt`` parse as with the line scan alone."""
+    from unittest import mock
+
+    from octformer import pointcloud
+
+    path = fuzz_dir / "mutated.ply"
+    path.write_bytes(_mutate(_ply_text(), kind, where, bit, token, _PLY_HEADER_LINES))
+    fast = _read_or_error(str(path))
+    with mock.patch.object(pointcloud, "_parse_ply_rows", pointcloud._scan_ply):
+        assert _read_or_error(str(path)) == fast
+
+
+def _config_text() -> bytes:
+    return json.dumps({
+        "dataset": {"n_clouds": 2, "points_per_cloud": 300, "depth": 5, "seed": 1},
+        "network": {"preset": None, "channels": 16, "blocks": [1, 1, 1, 1],
+                    "point_number": 8, "features": ["position", "color"]},
+        "training": {"steps": 2, "lr": 0.003, "weight_decay": 0.05},
+        "bench": {"sizes": [100, 200], "variants": ["octree"], "trials": 1},
+        "outputs": {"loss_curve": "loss.csv"},
+    }).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("flip", "cut", "insert")),
+       where=st.integers(0, 2**32 - 1), bit=st.integers(0, 7),
+       token=st.sampled_from(("[", "{", '"', ",", "null", "NaN", "1e999", "-1", "0.5",
+                              "[" * 5000, "9" * 5000, "\\udcff")))
+@example(kind="flip", where=0, bit=7, token="[")  # a byte that is not UTF-8
+def test_load_run_config_mutated_bytes_is_a_config_or_a_config_error(
+        fuzz_dir, kind, where, bit, token):
+    """Every mutation of a valid run config loads as a RunConfig or raises
+    ConfigError; the configs it accepts are not trained."""
+    from octformer.config import RunConfig
+
+    path = fuzz_dir / "run.json"
+    path.write_bytes(_mutate(_config_text(), kind, where, bit, token))
+    try:
+        assert isinstance(load_run_config(str(path)), RunConfig)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("text", [
+    b'{"training": {"steps": 2}, "outputs": {"loss_curve": "l\xffss.csv"}}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["non-utf8-byte", "nested-100000-deep"])
+def test_cli_train_toy_unreadable_config_exits_2_with_one_line(tmp_path, capsys, text):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(text)
+    code, _, err = run_cli(capsys, "train-toy", "--config", str(cfg_path))
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _record_data_offset(blob: bytes, name: str) -> int:
     """Byte offset of the first value of the float32 record ``name``."""
     for off, ndim_off in _record_fields(blob):
@@ -344,6 +483,16 @@ def test_cli_ply_vertex_count_beyond_file_exits_2_with_one_line(tmp_path, capsys
                            "--dump", str(tmp_path / "t.octf"))
     assert code == cli.EXIT_DATA
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_ply_without_vertices_exits_2_with_one_line(tmp_path, capsys):
+    src = tmp_path / "pts.ply"
+    src.write_text("ply\nformat ascii 1.0\nelement vertex 0\n"
+                   "property float x\nproperty float y\nproperty float z\nend_header\n")
+    code, _, err = run_cli(capsys, "build-octree", str(src), "--depth", "4",
+                           "--dump", str(tmp_path / "t.octf"))
+    assert code == cli.EXIT_DATA
+    assert err == f"data error: {src}: no points\n"
 
 
 @pytest.mark.parametrize("header, row", [

@@ -314,6 +314,28 @@ def test_attention_without_tape_frees_scores_and_windows(d, dtype):
     assert peak < 2 * plan.b * h * k * k * item + 5 * plan.padded * c * item
 
 
+@pytest.mark.parametrize("d, dtype", [(1, np.float32), (4, np.float64)])
+def test_attention_without_tape_ends_projections_after_their_last_reader(d, dtype):
+    import tracemalloc
+
+    # the peak is set in the softmax, beside its input and output (B, H, K, K)
+    # arrays; there only val (one (padded, C) array) is still read later, so
+    # q and key live no longer than the scores matmul (with them alive the
+    # peak is over three (padded, C) arrays above the two score arrays)
+    n, c, h, k = 4000, 32, 4, 32
+    params = random_attention(c, h, seed=19, dtype=dtype)
+    plan = make_plan(n, k, d)
+    x = T.Tensor(np.random.default_rng(20).normal(size=(n, c)), dtype)
+    tracemalloc.start()
+    try:
+        windowed_attention(x, plan, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    item = np.dtype(dtype).itemsize
+    assert peak < 2 * plan.b * h * k * k * item + 2 * plan.padded * c * item
+
+
 # -- conditional positional encoding ----------------------------------------------
 
 def small_tree(seed=16, n=60, depth=3):

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from octformer import pointcloud
 from octformer.errors import DataError
 from octformer.octree import QuantizedCloud
 from octformer.pointcloud import (
@@ -130,6 +133,131 @@ def test_ply_errors(tmp_path):
     p.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
     with pytest.raises(DataError):
         read_points(str(p))
+
+
+def _fstring_rows(cloud: RawCloud) -> str:
+    """The writers' rows as they were formatted one numpy scalar at a time."""
+    out = []
+    for i in range(cloud.positions.shape[0]):
+        fields = list(cloud.positions[i])
+        if cloud.colors is not None:
+            fields += list(cloud.colors[i])
+        if cloud.normals is not None:
+            fields += list(cloud.normals[i])
+        out.append(" ".join(f"{v:.9g}" for v in fields) + "\n")
+    return "".join(out)
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, np.nan, np.inf, -np.inf,
+                2.0 ** 60, 0.1, 1 / 3, 123456789.123, 1e16, 0.0, -7.0, 2.0 ** -1074, 65504.0]
+
+
+@pytest.mark.parametrize("ext", ["xyz", "ply"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("width", [3, 6, 9])
+@pytest.mark.parametrize("chunk_rows", [7, pointcloud.WRITE_CHUNK_ROWS])
+def test_writers_match_the_fstring_expression_byte_for_byte(tmp_path, ext, dtype, width,
+                                                           chunk_rows):
+    rng = np.random.default_rng(width)
+    n = 40
+    if dtype is np.int64:
+        pos = rng.integers(-2**40, 2**40, size=(n, 3))
+        pos[:2] = [[2**60, -2**60, 2**60 + 1], [0, -1, 2**53 + 1]]
+    else:
+        pos = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 3))
+        pos[:6] = np.reshape(_EDGE_VALUES, (6, 3))
+        with np.errstate(over="ignore"):  # 1e300 is inf in float32
+            pos = pos.astype(dtype)
+    extra = [rng.random((n, 3)), rng.normal(size=(n, 3))][:(width - 3) // 3]
+    if width == 9:
+        extra[1][:6] = np.reshape(_EDGE_VALUES, (6, 3))[::-1]
+    cloud = RawCloud(pos, *extra)
+    path = tmp_path / f"out.{ext}"
+    with mock.patch.object(pointcloud, "WRITE_CHUNK_ROWS", chunk_rows):
+        write_points(str(path), cloud)
+    text = path.read_text()
+    if ext == "ply":
+        assert text.startswith(f"ply\nformat ascii 1.0\nelement vertex {n}\n")
+        text = text.split("end_header\n", 1)[1]
+    assert text == _fstring_rows(cloud)
+
+
+@pytest.mark.parametrize("ext", ["xyz", "ply"])
+def test_writers_write_an_empty_cloud(tmp_path, ext):
+    path = tmp_path / f"out.{ext}"
+    write_points(str(path), RawCloud(np.zeros((0, 3)), colors=np.zeros((0, 3))))
+    text = path.read_text()
+    assert text == ("" if ext == "xyz" else
+                    "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\n"
+                    "property float y\nproperty float z\nproperty float red\n"
+                    "property float green\nproperty float blue\nend_header\n")
+
+
+def read_ply_by_scan(path: str) -> RawCloud:
+    """``read_points`` with the line scan in place of the ``loadtxt`` parse."""
+    with mock.patch.object(pointcloud, "_parse_ply_rows", pointcloud._scan_ply):
+        return read_points(path)
+
+
+def read_ply_fast(path: str) -> RawCloud:
+    """``read_points`` that fails if it falls back to the line scan."""
+    with mock.patch.object(pointcloud, "_scan_ply", side_effect=AssertionError("scanned")):
+        return read_points(path)
+
+
+@pytest.mark.parametrize("layout", ["uchar-colors", "extra-property", "face-element",
+                                    "float-normals"])
+def test_read_ply_matches_the_line_scan_bit_for_bit(tmp_path, layout):
+    rng = np.random.default_rng(7)
+    n = 50
+    # (property type, names, values) in declared order
+    blocks = [("float", ("x", "y", "z"),
+               rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 3)))]
+    if layout == "extra-property":  # first, so that x is not column 0
+        blocks.insert(0, ("int", ("label",), rng.integers(-5, 5, size=(n, 1))))
+        blocks.append(("float", ("nx", "ny", "nz"), rng.random((n, 3))))
+    if layout in ("uchar-colors", "face-element"):
+        blocks.append(("uchar", ("red", "green", "blue"), rng.integers(0, 256, size=(n, 3))))
+    if layout == "float-normals":
+        blocks += [("float", ("red", "green", "blue"), rng.random((n, 3))),
+                   ("double", ("nx", "ny", "nz"), rng.normal(size=(n, 3)))]
+    header = ["ply", "format ascii 1.0", "comment written by a test", f"element vertex {n}"]
+    header += [f"property {typ} {name}" for typ, names, _ in blocks for name in names]
+    rows = ["\t ".join(f"{v:.17g}" if i % 2 else f"{v:+.6e}" for v in row)
+            for i, row in enumerate(np.hstack([values for _, _, values in blocks]))]
+    if layout == "face-element":
+        header += ["element face 2", "property list uchar int vertex_indices"]
+        rows += ["3 0 1 2", "3 2 3 4"]
+    path = tmp_path / "pts.ply"
+    path.write_text("\n".join(header + ["end_header"] + rows) + "\n")
+    fast, scan = read_ply_fast(str(path)), read_ply_by_scan(str(path))
+    for name in ("positions", "colors", "normals"):
+        a, b = getattr(fast, name), getattr(scan, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name
+    if layout in ("uchar-colors", "face-element"):
+        assert fast.colors.tobytes() == (blocks[-1][2] / 255.0).tobytes()
+
+
+def test_read_ply_errors_come_from_the_line_scan(tmp_path):
+    p = tmp_path / "bad.ply"
+    head = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n")
+    cases = {  # rows long enough for the header's byte check
+        "1.5 2.5 3.5\n4.5 5.5\n7.5 8.5 9.5\n": ": bad vertex row 1",
+        "1.5 2.5 3.5\n\n7.5 8.5 9.5\n": ": bad vertex row 1",
+        "1.5 2.5 3.5\n4.5 five 6.5\n7.5 8.5 9.5\n": ": unparseable number in vertex row 1",
+        "1.5 2.5 3.5\n4.5 5.5 6.5\n": ": truncated vertex data at row 2",
+        "1.5 2.5 3.5\n4.5 5.5 6.5\n7.5 nan 9.5\n": ": non-finite value in point 2",
+    }
+    for body, tail in cases.items():
+        p.write_text(head + body)
+        with pytest.raises(DataError) as e:
+            read_points(str(p))
+        assert str(e.value) == f"{p}{tail}"
+    p.write_text(head + "1_0 2 3\n4 5 6\n7 8 9\n")  # float() reads it, loadtxt does not
+    assert read_points(str(p)).positions[0].tolist() == [10.0, 2.0, 3.0]
 
 
 def test_normalize_fit_bounding_box():
