@@ -7,7 +7,6 @@ properties (uchar color properties are rescaled from [0, 255]).
 
 from __future__ import annotations
 
-import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -90,7 +89,6 @@ _PLY_PROPS = {
     "red": 3, "green": 4, "blue": 5,
     "nx": 6, "ny": 7, "nz": 8,
 }
-_PLY_BYTE_TYPES = ("uchar", "uint8")  # rescaled from [0, 255]
 
 
 def _read_ply(path: str) -> RawCloud:
@@ -134,63 +132,33 @@ def _read_ply(path: str) -> RawCloud:
         if 2 * len(props) * count > left:
             raise DataError(f"{path}: header declares {count} vertices, "
                             f"but only {left} bytes follow it")
-        lines = list(itertools.islice(f, count))
-    data = _parse_ply_rows(path, lines, count, props)
-    have = np.zeros(9, dtype=bool)
-    for name, _ in props:
-        if name in _PLY_PROPS:
-            have[_PLY_PROPS[name]] = True
+        data = np.full((count, 9), np.nan)
+        have = np.zeros(9, dtype=bool)
+        for col, (name, typ) in enumerate(props):
+            if name in _PLY_PROPS:
+                have[_PLY_PROPS[name]] = True
+        for i in range(count):
+            line = f.readline()
+            if not line:
+                raise DataError(f"{path}: truncated vertex data at row {i}")
+            fields = line.split()
+            if len(fields) != len(props):
+                raise DataError(f"{path}: bad vertex row {i}")
+            for col, (name, typ) in enumerate(props):
+                if name not in _PLY_PROPS:
+                    continue
+                try:
+                    v = float(fields[col])
+                except ValueError:
+                    raise DataError(f"{path}: unparseable number in vertex row {i}") from None
+                if typ in ("uchar", "uint8"):
+                    v /= 255.0
+                data[i, _PLY_PROPS[name]] = v
     _check_finite(path, data[:, have])
     positions = data[:, :3]
     colors = data[:, 3:6] if have[3:6].all() else None
     normals = data[:, 6:9] if have[6:9].all() else None
     return RawCloud(positions, colors, normals)
-
-
-def _parse_ply_rows(path: str, lines: list[str], count: int,
-                    props: list[tuple[str, str]]) -> np.ndarray:
-    """The ``count`` vertex rows as a (count, 9) array in ``_PLY_PROPS`` order,
-    nan where no property maps. ``loadtxt`` parses them when there are
-    ``count`` lines, every field is a number and every line has one field per
-    property; otherwise the line scan does."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        try:
-            table = np.loadtxt(lines, comments=None, ndmin=2)
-        except ValueError:
-            table = None
-    if table is None or table.shape != (count, len(props)):
-        return _scan_ply(path, lines, count, props)  # raises the row-numbered error
-    data = np.full((count, 9), np.nan)
-    for col, (name, typ) in enumerate(props):
-        if name in _PLY_PROPS:
-            v = table[:, col]
-            data[:, _PLY_PROPS[name]] = v / 255.0 if typ in _PLY_BYTE_TYPES else v
-    return data
-
-
-def _scan_ply(path: str, lines: list[str], count: int,
-              props: list[tuple[str, str]]) -> np.ndarray:
-    """Parse row by row; each error names the vertex row it is on. Fields of
-    properties outside ``_PLY_PROPS`` are counted but not parsed."""
-    data = np.full((count, 9), np.nan)
-    for i, line in enumerate(lines):
-        fields = line.split()
-        if len(fields) != len(props):
-            raise DataError(f"{path}: bad vertex row {i}")
-        for col, (name, typ) in enumerate(props):
-            if name not in _PLY_PROPS:
-                continue
-            try:
-                v = float(fields[col])
-            except ValueError:
-                raise DataError(f"{path}: unparseable number in vertex row {i}") from None
-            if typ in _PLY_BYTE_TYPES:
-                v /= 255.0
-            data[i, _PLY_PROPS[name]] = v
-    if len(lines) < count:
-        raise DataError(f"{path}: truncated vertex data at row {len(lines)}")
-    return data
 
 
 def write_points(path: str, cloud: RawCloud) -> None:

@@ -348,39 +348,6 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _read_or_error(path: str):
-    """The bytes of each array ``read_points`` returns, or its DataError text."""
-    from octformer.errors import DataError
-    from octformer.pointcloud import read_points
-
-    try:
-        raw = read_points(path)
-    except DataError as e:
-        return str(e)
-    return [None if a is None else a.tobytes()
-            for a in (raw.positions, raw.colors, raw.normals)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(("flip", "cut", "insert", "replace")),
-       where=st.integers(0, 2**32 - 1), bit=st.integers(0, 7),
-       token=st.sampled_from(_XYZ_TOKENS + ("1_0", "-0", "+nan", "255", "0x1")))
-@example(kind="replace", where=0, bit=0, token="1_0")  # float() reads it, loadtxt not
-def test_ply_loadtxt_and_line_scan_agree_on_mutated_files(fuzz_dir, kind, where, bit,
-                                                          token):
-    """The PLY reader gives the same arrays, or the same DataError text, with
-    its ``loadtxt`` parse as with the line scan alone."""
-    from unittest import mock
-
-    from octformer import pointcloud
-
-    path = fuzz_dir / "mutated.ply"
-    path.write_bytes(_mutate(_ply_text(), kind, where, bit, token, _PLY_HEADER_LINES))
-    fast = _read_or_error(str(path))
-    with mock.patch.object(pointcloud, "_parse_ply_rows", pointcloud._scan_ply):
-        assert _read_or_error(str(path)) == fast
-
-
 def _config_text() -> bytes:
     return json.dumps({
         "dataset": {"n_clouds": 2, "points_per_cloud": 300, "depth": 5, "seed": 1},
