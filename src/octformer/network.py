@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .tensor import (
     mean_,
     relu,
     reshape,
+    row_blocks,
     scatter_rows_add,
 )
 
@@ -523,8 +525,8 @@ class OptimSettings:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("training.steps and batch_size must be >= 1")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ConfigError("training.lr and weight_decay must be >= 0")
+        if not (0 <= self.lr < math.inf and 0 <= self.weight_decay < math.inf):
+            raise ConfigError("training.lr and weight_decay must be finite and >= 0")
 
 
 class AdamW:
@@ -550,30 +552,39 @@ class AdamW:
         The bits are those of ``m += (1 - b1) * (g - m)``,
         ``v += (1 - b2) * (g * g - v)`` and
         ``p - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)``, with
-        ``wd * p`` in the parameter's dtype; the float64 copy of the gradient
-        and one scratch array hold every temporary.
+        ``wd * p`` in the parameter's dtype. Every parameter is updated over the
+        :func:`row_blocks` of its flattened arrays; the update is elementwise,
+        so the bits are those of one whole-array pass. A float64 copy of the
+        gradient block and one scratch block hold every temporary, and no
+        gradient is written.
         """
         self.t += 1
         b1, b2 = ADAMW_BETAS
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for (_, p), m, v, g in zip(self.params, self.m, self.v, grads):
-            g = g.astype(np.float64)
-            tmp = np.subtract(g, m)
-            tmp *= 1 - b1
-            m += tmp
-            np.multiply(g, g, out=tmp)
-            tmp -= v
-            tmp *= 1 - b2
-            v += tmp
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAMW_EPS
-            update = np.divide(m, bc1, out=g)
-            update /= tmp
-            update += self.s.weight_decay * p.data
-            update *= lr
-            p.data = np.subtract(p.data, update, out=update).astype(p.dtype)
+        for (_, p), m_all, v_all, g_all in zip(self.params, self.m, self.v, grads):
+            old, g_all = p.data.reshape(-1), g_all.reshape(-1)
+            m_all, v_all = m_all.reshape(-1), v_all.reshape(-1)
+            new = np.empty(p.size, p.dtype)
+            for blk in row_blocks(p.size, 1):
+                m, v = m_all[blk], v_all[blk]
+                g = g_all[blk].astype(np.float64)
+                tmp = np.subtract(g, m)
+                tmp *= 1 - b1
+                m += tmp
+                np.multiply(g, g, out=tmp)
+                tmp -= v
+                tmp *= 1 - b2
+                v += tmp
+                np.divide(v, bc2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += ADAMW_EPS
+                update = np.divide(m, bc1, out=g)
+                update /= tmp
+                update += self.s.weight_decay * old[blk]
+                update *= lr
+                new[blk] = np.subtract(old[blk], update, out=update)
+            p.data = new.reshape(p.shape)
 
 
 @dataclass
@@ -631,7 +642,7 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
     records = []
     cursor = 0
     for step in range(settings.steps):
-        grads = [np.zeros(t.shape, dtype=np.float64) for _, t in params]
+        grads = None
         batch_loss, batch_correct, batch_count = 0.0, 0, 0
         for _ in range(settings.batch_size):
             octree, feats, labels = prepared[cursor % len(prepared)]
@@ -645,15 +656,26 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
             if not np.isfinite(loss.item()):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)
             backward(tape, loss)
-            for g, (_, p) in zip(grads, params):
-                g += tape.grad(p)
+            if grads is None:
+                # a batch of one steps on the tape's own arrays, which AdamW never writes
+                grads = [tape.grad(p) for _, p in params]
+                if settings.batch_size > 1:
+                    grads = [g.astype(np.float64) for g in grads]
+            else:
+                for g, (_, p) in zip(grads, params):
+                    g += tape.grad(p)
             valid = labels != IGNORE_INDEX
             pred = logits.data.argmax(axis=1)
             batch_correct += int((pred[valid] == labels[valid]).sum())
             batch_count += int(valid.sum())
             batch_loss += loss.item()
+            # the tape's nodes hold every activation: free them before the step
+            del tape, pyramid, logits, loss
+        if settings.batch_size > 1:
+            for g in grads:
+                g /= settings.batch_size
         lr = opt.lr_at(step)
-        opt.step([g / settings.batch_size for g in grads], lr)
+        opt.step(grads, lr)
         records.append({
             "step": step,
             "lr": lr,

@@ -122,7 +122,11 @@ class Node:
 
 
 class Tape:
-    """Append-only operation record plus per-tensor gradient accumulators."""
+    """Append-only operation record plus per-tensor gradient accumulators.
+
+    After :func:`backward` the accumulators hold the gradients of leaves only:
+    tensors that no recorded op produced, such as parameters and inputs.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -137,7 +141,10 @@ class Tape:
         return False
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Accumulated gradient of ``t``; zeros when not on a loss path."""
+        """Accumulated gradient of the leaf ``t``; zeros when not on a loss path.
+
+        An op output's gradient is dropped once its vjp has read it, so for a
+        tensor that a recorded op produced this is zeros as well."""
         g = self.gradients.get(id(t))
         if g is None:
             return np.zeros(t.shape, dtype=t.dtype)
@@ -156,17 +163,21 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> None:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate tape gradients for every tensor on a path to ``loss``."""
+    """Populate tape gradients for every leaf on a path to ``loss``.
+
+    Each op output's gradient is dropped as soon as its node's vjp has read it,
+    so intermediate gradients die as the replay passes them and only leaf
+    gradients remain. The nodes stay: a second call gives the same gradients.
+    """
     if loss.shape != ():
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     tape.reset()
     tape.gradients[id(loss)] = np.ones((), dtype=loss.dtype)
     for node in reversed(tape.nodes):
-        g = tape.gradients.get(id(node.out))
+        g = tape.gradients.pop(id(node.out), None)
         if g is None:
             continue
-        grads = node.vjp(g)
-        for parent, gp in zip(node.parents, grads):
+        for parent, gp in zip(node.parents, node.vjp(g)):
             if gp is None:
                 continue
             acc = tape.gradients.get(id(parent))

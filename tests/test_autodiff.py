@@ -268,6 +268,46 @@ def test_grad_off_path_is_zero():
     assert tape.grad(y) == 0.0
 
 
+def _backward_keeping_every_gradient(tape, loss) -> dict:
+    """The tape replay with no gradient ever dropped: every tensor on a path
+    to ``loss``, op outputs included, keeps its accumulated gradient."""
+    grads = {id(loss): np.ones((), dtype=loss.dtype)}
+    for node in reversed(tape.nodes):
+        g = grads.get(id(node.out))
+        if g is None:
+            continue
+        for parent, gp in zip(node.parents, node.vjp(g)):
+            if gp is not None:
+                grads[id(parent)] = gp if id(parent) not in grads else grads[id(parent)] + gp
+    return grads
+
+
+def test_backward_keeps_only_leaf_gradients():
+    r = rng(14)
+    fc1 = T.LinearParams.init(6, 12, r, np.float64)
+    fc2 = T.LinearParams.init(12, 6, r, np.float64)
+    ln = T.LayerNormParams.init(6, np.float64)
+    with T.Tape() as tape:
+        x = T.Tensor(r.normal(size=(9, 6)), np.float64)
+        dead = T.Tensor(r.normal(size=(9, 6)), np.float64)
+        T.mul(dead, dead)  # off the loss path
+        h = T.add(x, T.gelu_mlp(T.apply_layer_norm(x, ln), fc1, fc2))  # x read twice
+        rows = T.gather_rows(T.softmax(h), np.array([0, 2, -1, 8, 2]))
+        loss = T.add(T.mean_(T.mul(rows, rows)),
+                     T.cross_entropy(h, np.arange(9) % 6))
+    every = _backward_keeping_every_gradient(tape, loss)
+    outputs = {id(node.out) for node in tape.nodes}
+    leaves = [x, fc1.weight, fc1.bias, fc2.weight, fc2.bias, ln.gamma, ln.beta]
+    for _ in range(2):  # a second backward on the same tape agrees
+        T.backward(tape, loss)
+        assert set(tape.gradients) == set(every) - outputs
+        assert {id(t) for t in leaves} <= set(tape.gradients)
+        assert id(dead) not in tape.gradients and id(h) not in tape.gradients
+        for t in leaves:
+            assert tape.grad(t).tobytes() == every[id(t)].tobytes()
+        assert not np.any(tape.grad(h))  # an op output's gradient is gone
+
+
 def test_no_tape_records_nothing():
     tape = T.Tape()
     with tape:

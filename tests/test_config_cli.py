@@ -57,7 +57,12 @@ def test_config_range_checks():
     lambda: BenchSettings(variants=("hexagonal",)),
     lambda: BenchSettings(sizes=(0,)),
     lambda: BenchSettings(variants=("knn",), sizes=(20,), k_neighbors=64),
-], ids=["steps", "batch_size", "lr", "variant", "size", "k_neighbors"])
+    lambda: OptimSettings(lr=float("nan")),
+    lambda: OptimSettings(lr=float("inf")),
+    lambda: OptimSettings(weight_decay=float("nan")),
+    lambda: OptimSettings(weight_decay=float("inf")),
+], ids=["steps", "batch_size", "lr", "variant", "size", "k_neighbors",
+        "lr_nan", "lr_inf", "weight_decay_nan", "weight_decay_inf"])
 def test_settings_check_their_ranges_without_the_json_path(make):
     with pytest.raises(ConfigError):
         make()
@@ -245,46 +250,6 @@ def test_cli_segment_corrupted_checkpoint_never_traces_back(toy_segment_files, k
     assert err.count("\n") <= 1 and "Traceback" not in err
 
 
-_XYZ_TOKENS = ("nan", "1e999", "-1e999", "0.5")
-
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(("flip", "cut", "insert", "replace")),
-       where=st.integers(0, 2**32 - 1), bit=st.integers(0, 7),
-       token=st.sampled_from(_XYZ_TOKENS))
-@example(kind="flip", where=0, bit=7, token="nan")  # a byte that is not UTF-8
-@example(kind="replace", where=4, bit=0, token="1e999")
-@example(kind="insert", where=9, bit=0, token="0.5")  # an extra column on one line
-def test_cli_segment_mutated_xyz_never_traces_back(toy_segment_files, kind, where,
-                                                   bit, token):
-    """A small XYZ file with one flipped bit, a truncation, a token inserted at
-    any byte, or a field replaced by ``nan``, ``1e999`` or a number: exit 0, 1,
-    2 or 3 with at most one line on stderr."""
-    d, blob = toy_segment_files
-    rows = np.random.default_rng(4).random((12, 6))
-    text = ("\n".join(" ".join(f"{v:.4f}" for v in row) for row in rows) + "\n").encode()
-    if kind == "flip":
-        at = where % len(text)
-        data = text[:at] + bytes([text[at] ^ (1 << bit)]) + text[at + 1:]
-    elif kind == "cut":
-        data = text[:where % len(text)]
-    elif kind == "insert":
-        at = where % (len(text) + 1)
-        data = text[:at] + f" {token} ".encode() + text[at:]
-    else:
-        fields = [line.split() for line in text.decode().splitlines()]
-        fields[where % len(fields)][where // len(fields) % 6] = token
-        data = ("\n".join(" ".join(row) for row in fields) + "\n").encode()
-    (d / "mutated.xyz").write_bytes(data)
-    (d / "x.ofck").write_bytes(blob)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.main(["segment", str(d / "mutated.xyz"), "--ckpt", str(d / "x.ofck"),
-                         "--out", str(d / "labels.txt")])
-    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
-    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
-
-
 def _mutate(text: bytes, kind: str, where: int, bit: int, token: str,
             first_row: int = 0) -> bytes:
     """One flipped bit, a truncation or an inserted token at any byte, or one
@@ -303,6 +268,34 @@ def _mutate(text: bytes, kind: str, where: int, bit: int, token: str,
     fields[where // len(lines) % len(fields)] = token
     lines[row] = " ".join(fields)
     return ("\n".join(lines) + "\n").encode()
+
+
+_XYZ_TOKENS = ("nan", "1e999", "-1e999", "0.5")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("flip", "cut", "insert", "replace")),
+       where=st.integers(0, 2**32 - 1), bit=st.integers(0, 7),
+       token=st.sampled_from(_XYZ_TOKENS))
+@example(kind="flip", where=0, bit=7, token="nan")  # a byte that is not UTF-8
+@example(kind="replace", where=4, bit=0, token="1e999")
+@example(kind="insert", where=9, bit=0, token="0.5")  # an extra column on one line
+def test_cli_segment_mutated_xyz_never_traces_back(toy_segment_files, kind, where,
+                                                   bit, token):
+    """A small XYZ file with one flipped bit, a truncation, a token inserted at
+    any byte, or a field replaced by ``nan``, ``1e999`` or a number: exit 0, 1,
+    2 or 3 with at most one line on stderr."""
+    d, blob = toy_segment_files
+    rows = np.random.default_rng(4).random((12, 6))
+    text = ("\n".join(" ".join(f"{v:.4f}" for v in row) for row in rows) + "\n").encode()
+    (d / "mutated.xyz").write_bytes(_mutate(text, kind, where, bit, token))
+    (d / "x.ofck").write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["segment", str(d / "mutated.xyz"), "--ckpt", str(d / "x.ofck"),
+                         "--out", str(d / "labels.txt")])
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
 
 
 def _ply_text() -> bytes:
@@ -389,6 +382,26 @@ def test_cli_train_toy_unreadable_config_exits_2_with_one_line(tmp_path, capsys,
     code, _, err = run_cli(capsys, "train-toy", "--config", str(cfg_path))
     assert code == cli.EXIT_DATA
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("training", [
+    '"lr": NaN, "weight_decay": Infinity', '"lr": Infinity', '"weight_decay": NaN',
+    '"lr": -Infinity',
+], ids=["lr-nan-weight-decay-inf", "lr-inf", "weight-decay-nan", "lr-minus-inf"])
+def test_cli_train_toy_non_finite_settings_exit_2_before_any_octree(
+        tmp_path, capsys, monkeypatch, training):
+    """JSON's NaN and Infinity literals parse as floats; they are config errors."""
+    from octformer import network
+
+    def no_octree(*args, **kwargs):
+        raise AssertionError("an octree was built")
+
+    monkeypatch.setattr(network, "build_octree", no_octree)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"training": {"steps": 2, %s}}' % training)
+    code, _, err = run_cli(capsys, "train-toy", "--config", str(cfg_path))
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "finite" in err and "Traceback" not in err
 
 
 def _record_data_offset(blob: bytes, name: str) -> int:

@@ -619,3 +619,79 @@ def test_adamw_step_matches_the_expression_bit_for_bit():
             assert p.dtype == r.dtype
             assert p.data.tobytes() == r.data.tobytes()
             assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
+
+
+def test_adamw_step_is_bit_exact_across_row_blocks():
+    """Parameters larger than one row block: a slip at a block boundary shows."""
+    rng = np.random.default_rng(13)
+    shapes = [(3 * 2**17 + 5,), (700, 200)]
+    dtypes = [np.float32, np.float64]
+    assert all(len(T.row_blocks(int(np.prod(s)), 1)) > 1 for s in shapes)
+    settings = OptimSettings(steps=8, lr=3e-3, weight_decay=0.05)
+    params = [T.Tensor(rng.normal(size=s), dtype=d) for s, d in zip(shapes, dtypes)]
+    ref = [T.Tensor(p.data.copy()) for p in params]
+    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], settings)
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    for step in range(settings.steps):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=s)
+                 .astype(np.float64 if (step + i) % 2 else np.float32)
+                 for i, s in enumerate(shapes)]
+        kept = [g.copy() for g in grads]
+        lr = opt.lr_at(step)
+        opt.step(grads, lr)
+        _adamw_reference_step(ref, ms, vs, grads, step + 1, lr, settings.weight_decay)
+        for g, k in zip(grads, kept):
+            assert g.tobytes() == k.tobytes()
+        for p, r, m, rm, v, rv in zip(params, ref, opt.m, ms, opt.v, vs):
+            assert p.dtype == r.dtype and p.shape == r.shape
+            assert p.data.tobytes() == r.data.tobytes()
+            assert m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_train_toy_frees_the_tape_before_each_step(monkeypatch, batch_size):
+    import weakref
+
+    from octformer import network
+
+    tapes, steps = [], []
+
+    class RecordingTape(T.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    step = AdamW.step
+
+    def checked_step(self, grads, lr):
+        assert len(tapes) == batch_size * (len(steps) + 1)
+        assert all(tape() is None for tape in tapes)  # this step's tapes too
+        steps.append(lr)
+        return step(self, grads, lr)
+
+    monkeypatch.setattr(network, "Tape", RecordingTape)
+    monkeypatch.setattr(AdamW, "step", checked_step)
+    dataset = two_spheres_dataset(3, 300, depth=7, seed=21)
+    cfg = tiny_config(num_classes=2, features=("position", "color"))
+    train_toy(dataset, cfg, OptimSettings(steps=2, lr=3e-3, batch_size=batch_size, seed=7))
+    assert len(steps) == 2
+
+
+def test_train_toy_batch_of_two_keeps_its_bits():
+    """Losses and final parameters of a two-sample batch run, pinned by sha256:
+    the gradient sum and its division keep the bits of a zero-filled float64
+    accumulator divided by the batch size."""
+    import hashlib
+
+    dataset = two_spheres_dataset(3, 300, depth=7, seed=21)
+    cfg = tiny_config(num_classes=2, features=("position", "color"))
+    result = train_toy(dataset, cfg, OptimSettings(steps=3, lr=3e-3, weight_decay=0.05,
+                                                   batch_size=2, seed=7))
+    losses = [result.initial_loss, *(r["loss"] for r in result.records),
+              result.final_loss]
+    digest = hashlib.sha256(np.array(losses).tobytes())
+    for _, t in trainable_parameters(result.model):
+        digest.update(t.data.tobytes())
+    assert digest.hexdigest() == (
+        "27dfff80e72e0a43567305018a819a2b5f843b6eacd1469eb3adac321bc550e0")
