@@ -278,7 +278,8 @@ def _backward_keeping_every_gradient(tape, loss) -> dict:
             continue
         for parent, gp in zip(node.parents, node.vjp(g)):
             if gp is not None:
-                grads[id(parent)] = gp if id(parent) not in grads else grads[id(parent)] + gp
+                acc = grads.get(id(parent))
+                grads[id(parent)] = gp if acc is None else acc + gp
     return grads
 
 

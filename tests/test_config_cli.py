@@ -250,26 +250,6 @@ def test_cli_segment_corrupted_checkpoint_never_traces_back(toy_segment_files, k
     assert err.count("\n") <= 1 and "Traceback" not in err
 
 
-def _mutate(text: bytes, kind: str, where: int, bit: int, token: str,
-            first_row: int = 0) -> bytes:
-    """One flipped bit, a truncation or an inserted token at any byte, or one
-    field of a row from line ``first_row`` on replaced by ``token``."""
-    if kind == "flip":
-        at = where % len(text)
-        return text[:at] + bytes([text[at] ^ (1 << bit)]) + text[at + 1:]
-    if kind == "cut":
-        return text[:where % len(text)]
-    if kind == "insert":
-        at = where % (len(text) + 1)
-        return text[:at] + f" {token} ".encode() + text[at:]
-    lines = text.decode().splitlines()
-    row = first_row + where % (len(lines) - first_row)
-    fields = lines[row].split()
-    fields[where // len(lines) % len(fields)] = token
-    lines[row] = " ".join(fields)
-    return ("\n".join(lines) + "\n").encode()
-
-
 _XYZ_TOKENS = ("nan", "1e999", "-1e999", "0.5")
 
 
@@ -296,6 +276,26 @@ def test_cli_segment_mutated_xyz_never_traces_back(toy_segment_files, kind, wher
                          "--out", str(d / "labels.txt")])
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
+def _mutate(text: bytes, kind: str, where: int, bit: int, token: str,
+            first_row: int = 0) -> bytes:
+    """One flipped bit, a truncation or an inserted token at any byte, or one
+    field of a row from line ``first_row`` on replaced by ``token``."""
+    if kind == "flip":
+        at = where % len(text)
+        return text[:at] + bytes([text[at] ^ (1 << bit)]) + text[at + 1:]
+    if kind == "cut":
+        return text[:where % len(text)]
+    if kind == "insert":
+        at = where % (len(text) + 1)
+        return text[:at] + f" {token} ".encode() + text[at:]
+    lines = text.decode().splitlines()
+    row = first_row + where % (len(lines) - first_row)
+    fields = lines[row].split()
+    fields[where // len(lines) % len(fields)] = token
+    lines[row] = " ".join(fields)
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _ply_text() -> bytes:
