@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         # since the softmax's -1e9 mask underflows by design
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _COMMANDS[args.command](args)
-    except (DataError, ConfigError, FileNotFoundError) as e:
+    except (DataError, ConfigError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, TrainingError, FloatingPointError) as e:

@@ -41,8 +41,8 @@ from .tensor import (
     gather_rows,
     gelu_mlp,
     linear,
+    map_rows,
     mean_,
-    relu,
     reshape,
     row_blocks,
     scatter_rows_add,
@@ -279,18 +279,43 @@ def mlp_forward(x: Tensor, mlp: MlpParams) -> Tensor:
     return gelu_mlp(x, mlp.fc1, mlp.fc2)
 
 
+# Most (B, H, K, K) score elements of one attention chunk: 4 MB at float32.
+# Smaller chunks make the Q/K/V and output GEMMs short (at 2^17 a stage-2
+# chunk is one span of 128 rows of 384 channels), which costs time.
+ATTN_CHUNK_ELEMENTS = 1 << 20
+
+
+def attention_chunks(n: int, k: int, d: int, heads: int) -> list[slice]:
+    """Contiguous token ranges of whole spans (k*d tokens, d windows) that
+    cover n tokens, in :func:`row_blocks` of spans of d*heads*k*k score
+    elements. Every window lies in one chunk, so attending each chunk on its
+    own gives the bits of one plan; only the last chunk holds padding."""
+    span = k * d
+    return [slice(min(n, s.start * span), min(n, s.stop * span))
+            for s in row_blocks(-(-n // span), d * heads * k * k, ATTN_CHUNK_ELEMENTS)]
+
+
+def chunked_attention(x: Tensor, k: int, d: int, params: AttentionParams) -> Tensor:
+    """:func:`windowed_attention` of each of the :func:`attention_chunks` of
+    x, one plan per chunk, joined by :func:`map_rows`: the bits of one plan
+    over all of x, with no score array larger than a chunk's."""
+    def attend(part: Tensor) -> Tensor:
+        return windowed_attention(part, make_plan(part.shape[0], k, d), params)
+
+    return map_rows(attend, x, attention_chunks(x.shape[0], k, d, params.heads))
+
+
 def octformer_block(x: Tensor, octree: Octree, depth: int, block: BlockParams,
                     point_number: int, training: bool) -> Tensor:
-    """CPE (skipped when ``block.cpe`` is None), then pre-norm attention and
-    pre-norm MLP with residuals."""
+    """CPE (skipped when ``block.cpe`` is None), then pre-norm chunked
+    attention and pre-norm MLP with residuals."""
     n = octree.node_count(depth)
     if x.shape[0] != n:
         raise ShapeError(f"x has {x.shape[0]} rows, depth {depth} has {n} nodes")
     if block.cpe is not None:
         x = conditional_positional_encoding(x, octree, depth, block.cpe, training)
-    plan = make_plan(n, point_number, block.dilation)
-    attn_out = windowed_attention(apply_layer_norm(x, block.ln1), plan, block.attn)
-    x = add(x, attn_out)
+    x = add(x, chunked_attention(apply_layer_norm(x, block.ln1), point_number,
+                                 block.dilation, block.attn))
     return add(x, mlp_forward(apply_layer_norm(x, block.ln2), block.mlp))
 
 
@@ -359,13 +384,16 @@ def fpn_segmentation_head(pyramid: FeaturePyramid, octree: Octree,
         if lvl.shape[0] != octree.node_count(d):
             raise ShapeError("pyramid level does not match the octree")
 
+    # u is rebound at each op, so untaped the op's input dies as soon as it
+    # returns: each level's lateral takes its parent's rows into its own
+    # output, and the hidden layer's ReLU runs in place
     u = linear(pyramid.levels[-1], head.lateral[-1])
     for i in range(len(pyramid.levels) - 2, -1, -1):
-        fine_depth = pyramid.depths[i]
-        up = gather_rows(u, octree.parent_index[fine_depth])  # parent -> children copy
-        u = add(up, linear(pyramid.levels[i], head.lateral[i]))
+        parents = octree.parent_index[pyramid.depths[i]]  # parent -> children copy
+        u = linear(pyramid.levels[i], head.lateral[i], gathered=(u, parents))
     u = octree_conv(u, octree, pyramid.depths[0], head.fuse)
-    logits = linear(relu(linear(u, head.hidden)), head.classifier)
+    u = linear(u, head.hidden, relu=True)
+    logits = linear(u, head.classifier)
     return gather_rows(logits, point_ancestor_index(octree, pyramid.depths[0]))
 
 

@@ -148,6 +148,8 @@ def windowed_attention(x: Tensor, plan: PartitionPlan,
 
     Padded keys get an additive -1e9 logit (excluded from the softmax up
     to underflow); padded query rows are dropped by the reverse partition.
+    A plan with no padding adds no mask: adding +0.0 would only turn a -0.0
+    score into +0.0, which the softmax maps to the same values.
     """
     x = as_tensor(x)
     if x.shape[0] != plan.n:
@@ -166,15 +168,16 @@ def windowed_attention(x: Tensor, plan: PartitionPlan,
     val = split_heads(matmul(flat, params.w_v))
     del flat  # untaped, the padded windows die here
 
-    pad = (plan.window_sources() >= plan.n).reshape(b, k)
-    bias = np.where(pad[:, None, None, :], MASK_LOGIT, 0.0).astype(x.dtype)
     # One name, rebound at each op, holds the (B, H, K, K) arrays, so untaped
     # each one dies as soon as the next op has read it: the scores in the mask
     # add, the masked scores in the softmax, and the probabilities in the
     # context matmul. q and key die after the scores, val after the context.
     attn = matmul(mul(q, 1.0 / np.sqrt(dh)), transpose(key, (0, 1, 3, 2)))
     del q, key
-    attn = add(attn, Tensor(bias))
+    if plan.padded > plan.n:
+        pad = (plan.window_sources() >= plan.n).reshape(b, k)
+        bias = np.where(pad[:, None, None, :], MASK_LOGIT, 0.0).astype(x.dtype)
+        attn = add(attn, Tensor(bias))
     attn = softmax(attn, axis=-1)
     ctx = matmul(attn, val)                             # (B, H, K, dh)
     del attn, val

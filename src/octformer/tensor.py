@@ -11,8 +11,9 @@ Activations take their inputs' dtype (numpy's promotion of the operands),
 and a scalar never promotes: a Python or numpy scalar operand of ``add``,
 ``sub`` or ``mul`` takes the dtype of the tensor operand. Ops write only into
 arrays they allocated themselves, never into an input, so an in-place step
-(``linear``'s bias add, the passes of ``gelu``, ``softmax`` and the norms)
-computes the same bits as the expression it replaces. The exception is float32
+(``linear``'s bias add, gathered rows and ReLU, the passes of ``gelu``,
+``softmax`` and the norms) computes the same bits as the expression it
+replaces. The exception is float32
 ``gelu``, whose erf is a rational approximation rather than scipy's (see
 :func:`_gaussian_cdf`); float64 ``gelu`` is scipy's, bit for bit. scipy is
 imported at the first float64 ``gelu``, so float32 programs (``segment`` of a
@@ -23,11 +24,14 @@ where their statistics come from: the last axis, the batch axis, or a batch
 norm's running statistics in eval. Their epsilon (``NORM_EPS``) and the batch
 norm momentum (``BN_MOMENTUM``) are constants.
 
-Row-blocked ops (:func:`gelu_mlp` here, ``octconv.gathered_conv``) split their
-rows with one rule, :func:`row_blocks`: equal blocks of at most about
-``MLP_BLOCK_ELEMENTS`` (2^17) elements, so that no full-size temporary exists
-and the bits match the unblocked expression. :func:`gather_rows` and
-:func:`scatter_rows_add` take the octree's int32 indices as they are.
+Row-blocked ops (:func:`gelu_mlp` and :func:`linear`'s gathered rows here,
+``octconv.gathered_conv``) split their rows with one rule, :func:`row_blocks`:
+equal blocks of at most about ``MLP_BLOCK_ELEMENTS`` (2^17) elements, so that
+no full-size temporary exists and the bits match the unblocked expression.
+:func:`map_rows` runs a row-wise function over given row blocks (the network's
+attention chunks, sized by the same rule with their own budget) and joins the
+outputs. :func:`gather_rows` and :func:`scatter_rows_add` take the octree's
+int32 indices as they are.
 """
 
 from __future__ import annotations
@@ -577,17 +581,52 @@ class LinearParams:
                    Tensor(np.zeros(fan_out, dtype=dt)))
 
 
-def linear(x: Tensor, p: LinearParams) -> Tensor:
-    """(N, in) @ (in, out) plus the bias, added in place, as one taped op."""
+def linear(x: Tensor, p: LinearParams, relu: bool = False,
+           gathered: tuple[Tensor, np.ndarray] | None = None) -> Tensor:
+    """(N, in) @ (in, out) plus the bias, added in place, as one taped op.
+
+    Two epilogues run in place on that output, with the bits of the ops they
+    replace. ``gathered=(y, idx)`` adds the rows ``y[idx]`` (every index
+    present, ``y`` of the output's dtype and width), as
+    ``add(gather_rows(y, idx), linear(x, p))`` does: the add commutes, and it
+    runs over :func:`row_blocks`, so no full-size gather exists. ``relu`` is
+    ``relu(linear(x, p))``; its vjp mask ``out > 0`` is the pre-activation's.
+    """
     x, w = as_tensor(x), p.weight
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear wants (N, {w.shape[0]}) input, got {x.shape}")
     out = np.matmul(x.data, w.data)
-    if p.bias is None:
-        return from_op(out, (x, w), lambda g: (g @ w.data.T, x.data.T @ g))
-    out += p.bias.data
-    return from_op(out, (x, w, p.bias),
-                   lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+    parents = (x, w)
+    if p.bias is not None:
+        out += p.bias.data
+        parents += (p.bias,)
+    if gathered is not None:
+        y, idx = as_tensor(gathered[0]), np.asarray(gathered[1])
+        if (idx.shape != out.shape[:1] or y.shape[1:] != out.shape[1:]
+                or y.dtype != out.dtype):
+            raise ShapeError(f"cannot add rows of {y.shape} {y.dtype} at "
+                             f"{idx.shape} indices to {out.shape} {out.dtype}")
+        if idx.size and (idx.min() < 0 or idx.max() >= y.shape[0]):
+            raise IndexError(f"gathered indices must lie in [0, {y.shape[0]})")
+        for blk in row_blocks(*out.shape):
+            out[blk] += y.data[idx[blk]]
+        parents += (y,)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def vjp(g):
+        if relu:
+            g = (g * (out > 0)).astype(out.dtype)
+        grads = [g @ w.data.T, x.data.T @ g]
+        if p.bias is not None:
+            grads.append(g.sum(axis=0))
+        if gathered is not None:
+            gy = np.zeros(y.shape, dtype=g.dtype)
+            np.add.at(gy, idx, g)
+            grads.append(gy)
+        return tuple(grads)
+
+    return from_op(out, parents, vjp)
 
 
 # Most elements of one row block of :func:`gelu_mlp`'s hidden activations and of
@@ -596,14 +635,64 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 MLP_BLOCK_ELEMENTS = 1 << 17
 
 
-def row_blocks(n: int, width: int) -> list[slice]:
-    """Equal row blocks of an (n, width) array, about ``MLP_BLOCK_ELEMENTS`` each.
+def row_blocks(n: int, width: int, elements: int | None = None) -> list[slice]:
+    """Equal row blocks of an (n, width) array, about ``elements`` (by default
+    ``MLP_BLOCK_ELEMENTS``) each.
 
     Equal, so that no block is much shorter than the rest: BLAS may pick
     another kernel (and summation order) for a few rows than for many.
     """
-    blocks = max(1, -(-n * width // MLP_BLOCK_ELEMENTS))
+    blocks = max(1, -(-n * width // (elements or MLP_BLOCK_ELEMENTS)))
     return [slice(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+
+
+def map_rows(fn, x: Tensor, blocks: list[slice]) -> Tensor:
+    """``fn`` of each row block of ``x``, its outputs joined in row order.
+
+    ``blocks`` are contiguous and cover every row. One block is ``fn(x)``
+    itself. Otherwise each output is copied into the result when it returns,
+    so untaped it dies before the next block runs. Taped, the join's vjp
+    hands each block its slice of ``g``.
+    """
+    x = as_tensor(x)
+    if len(blocks) == 1:
+        return fn(x)
+    taped = bool(_ACTIVE)
+    out, outs = None, []
+    for blk, part in zip(blocks, _split_rows(x, blocks)):
+        y = fn(part)
+        if out is None:
+            out = np.empty((x.shape[0],) + y.shape[1:], y.dtype)
+        out[blk] = y.data
+        if taped:
+            outs.append(y)
+        del y
+    return from_op(out, tuple(outs), lambda g: tuple(g[b] for b in blocks))
+
+
+def _split_rows(x: Tensor, blocks: list[slice]) -> list[Tensor]:
+    """Row blocks of ``x`` (views), whose vjps share one gradient array.
+
+    An identity node (the hub) is recorded before the blocks, so in
+    ``backward`` every block's vjp runs before the hub's. The first block vjp
+    to run allocates the zeroed gradient of x's shape and hands it to the
+    hub, every block writes its rows into it, and the hub's vjp passes it on
+    and forgets it. So the gradient costs one array, not one per block.
+    """
+    grad = {}
+    hub = from_op(x.data, (x,), lambda g: (grad.pop("x"),))
+
+    def part(blk: slice) -> Tensor:
+        def vjp(g):
+            first = "x" not in grad
+            if first:
+                grad["x"] = np.zeros(x.shape, g.dtype)
+            grad["x"][blk] = g
+            return (grad["x"] if first else None,)
+
+        return from_op(x.data[blk], (hub,), vjp)
+
+    return [part(blk) for blk in blocks]
 
 
 def gelu_mlp(x: Tensor, fc1: LinearParams, fc2: LinearParams) -> Tensor:

@@ -622,3 +622,90 @@ def test_gelu_mlp_shape_error():
     for shape in ((5, 3), (2, 5, 4), (4,)):
         with pytest.raises(ShapeError):
             T.gelu_mlp(T.Tensor(np.zeros(shape)), fc1, fc2)
+
+
+# -- the segmentation head's fused linears --------------------------------------
+
+def _hidden_chain(u, hidden, classifier):
+    """The head's hidden layer and classifier as three separate ops."""
+    return T.linear(T.relu(T.linear(u, hidden)), classifier)
+
+
+def _merge_chain(level, lateral, coarse, parents):
+    """The head's lateral merge as three separate ops."""
+    return T.add(T.gather_rows(coarse, parents), T.linear(level, lateral))
+
+
+def _outputs(build, inputs, cotangent):
+    """Forward output and the gradients of every input."""
+    with T.Tape() as tape:
+        y = build()
+        loss = T.sum_(T.mul(y, cotangent))
+    T.backward(tape, loss)
+    return [y.data] + [tape.grad(t) for t in inputs]
+
+
+@pytest.mark.parametrize("rows", [1, 700])
+@pytest.mark.parametrize("x_dtype, w_dtype", [(np.float32, np.float32),
+                                              (np.float64, np.float64),
+                                              (np.float64, np.float32)])
+def test_head_fused_linears_match_the_op_chains_bit_for_bit(monkeypatch, rows,
+                                                            x_dtype, w_dtype):
+    monkeypatch.setattr(T, "MLP_BLOCK_ELEMENTS", 40 * 12)  # the merge in 40-row blocks
+    r = rng(27)
+    c, f, classes = 10, 12, 3
+    hidden, classifier = (T.LinearParams(T.Tensor(r.normal(size=(a, b)), w_dtype),
+                                         T.Tensor(r.normal(size=b), w_dtype))
+                          for a, b in ((f, f), (f, classes)))
+    hidden.bias.data[:4] = 0.0
+    u = T.Tensor(r.normal(size=(rows, f)), x_dtype)
+    u.data[0] = 0.0  # pre-activations of exactly zero: no gradient through the ReLU
+    inputs = [u, hidden.weight, hidden.bias, classifier.weight, classifier.bias]
+    cotangent = T.Tensor(r.normal(size=(rows, classes)), x_dtype)
+    got = _outputs(lambda: T.linear(T.linear(u, hidden, relu=True), classifier),
+                   inputs, cotangent)
+    want = _outputs(lambda: _hidden_chain(u, hidden, classifier), inputs, cotangent)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    lateral = T.LinearParams(T.Tensor(r.normal(size=(c, f)), w_dtype),
+                             T.Tensor(r.normal(size=f), w_dtype))
+    level = T.Tensor(r.normal(size=(rows, c)), x_dtype)
+    coarse = T.Tensor(r.normal(size=(max(1, rows // 8), f)),
+                      np.result_type(x_dtype, w_dtype))
+    parents = np.sort(r.integers(0, coarse.shape[0], rows)).astype(np.int32)
+    inputs = [level, lateral.weight, lateral.bias, coarse]
+    cotangent = T.Tensor(r.normal(size=(rows, f)), x_dtype)
+    got = _outputs(lambda: T.linear(level, lateral, gathered=(coarse, parents)),
+                   inputs, cotangent)
+    want = _outputs(lambda: _merge_chain(level, lateral, coarse, parents),
+                    inputs, cotangent)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    untaped = T.linear(level, lateral, gathered=(coarse, parents))
+    assert untaped.data.tobytes() == want[0].tobytes()
+
+
+def test_head_fused_linears_gradcheck(monkeypatch):
+    monkeypatch.setattr(T, "MLP_BLOCK_ELEMENTS", 8)  # 2 rows x 4 outputs per block
+    parents = np.array([0, 0, 1, 2, 2, 2])
+
+    def build(xs):
+        u = T.linear(xs[0], T.LinearParams(xs[1], xs[2]), gathered=(xs[3], parents))
+        y = T.linear(u, T.LinearParams(xs[4], xs[5]), relu=True)
+        return T.sum_(T.mul(y, xs[6]))
+
+    gradcheck(build, [(6, 3), (3, 4), (4,), (3, 4), (4, 5), (5,), (6, 5)])
+
+
+def test_linear_gathered_rows_are_checked():
+    p = T.LinearParams(T.Tensor(np.zeros((3, 4))))
+    x, y = T.Tensor(np.zeros((5, 3))), T.Tensor(np.zeros((2, 4)))
+    for idx in ([0, 1, 1, 2, 0], [0, 1, 1, -1, 0]):
+        with pytest.raises(IndexError):
+            T.linear(x, p, gathered=(y, np.array(idx)))
+    for bad_y, idx in ((T.Tensor(np.zeros((2, 5))), [0] * 5),
+                       (T.Tensor(np.zeros((2, 4)), np.float32), [0] * 5),
+                       (y, [0] * 4)):
+        with pytest.raises(ShapeError):
+            T.linear(x, p, gathered=(bad_y, np.array(idx)))

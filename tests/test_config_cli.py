@@ -603,6 +603,25 @@ def test_cli_build_octree_missing_file(capsys):
     assert code == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("argv", [
+    ["segment", "{dir}", "--ckpt", "{d}/m.ofck"],
+    ["segment", "{d}/cloud.xyz", "--ckpt", "{dir}"],
+    ["segment", "{d}/cloud.xyz", "--ckpt", "{d}/m.ofck", "--out", "{dir}"],
+    ["train-toy", "--config", "{dir}"],
+    ["partition", "--n", "10", "--k", "4", "--csv", "{dir}"],
+    ["build-octree", "{d}/cloud.xyz", "--depth", "5", "--dump", "{dir}"],
+], ids=["segment-input", "segment-ckpt", "segment-out", "train-toy-config",
+        "partition-csv", "build-octree-dump"])
+def test_cli_directory_path_exits_2_with_one_line(toy_segment_files, tmp_path, capsys,
+                                                  argv):
+    d, _ = toy_segment_files
+    argv = [a.format(d=d, dir=tmp_path) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(tmp_path) in err
+
+
 def test_cli_attend_checksum_deterministic(tmp_path, capsys):
     src = tmp_path / "pts.xyz"
     rng = np.random.default_rng(1)

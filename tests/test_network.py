@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from octformer import network
 from octformer import tensor as T
 from octformer.errors import ConfigError, DataError, NumericError
 from octformer.network import (
@@ -29,9 +30,10 @@ from octformer.network import (
     BlockParams,
 )
 from octformer.octree import QuantizedCloud, build_octree, init_leaf_features
+from octformer.partition import AttentionParams, make_plan, windowed_attention
 from octformer.synthetic import two_spheres_dataset
 
-from oracles import finite_difference_filtered, grads_close, relative_error
+from oracles import finite_difference_filtered, gradcheck, grads_close, relative_error
 
 
 TINY = dict(channels=16, blocks=(1, 1, 1, 1), point_number=8, dilation=2,
@@ -695,3 +697,94 @@ def test_train_toy_batch_of_two_keeps_its_bits():
         digest.update(t.data.tobytes())
     assert digest.hexdigest() == (
         "27dfff80e72e0a43567305018a819a2b5f843b6eacd1469eb3adac321bc550e0")
+
+
+# -- attention in chunks of whole spans -------------------------------------------
+
+def _attention_outputs(attend, x, params, cotangent):
+    """Output of ``attend(x)``, the gradients of x and the four weights, and
+    the tape's node count."""
+    with T.Tape() as tape:
+        y = attend(x)
+        loss = T.sum_(T.mul(y, cotangent))
+    T.backward(tape, loss)
+    grads = [tape.grad(t) for t in (x, params.w_q, params.w_k, params.w_v, params.w_o)]
+    return y.data, grads, len(tape.nodes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 4])
+def test_chunked_attention_matches_one_plan(monkeypatch, d, dtype):
+    k, c, h = 8, 16, 2
+    n = 11 * k * d - 5  # 11 spans, the last one short
+    # at most three spans of d*h*k*k score elements per chunk: four equal
+    # chunks of 2, 3, 3 and 3 spans, the last one short
+    monkeypatch.setattr(network, "ATTN_CHUNK_ELEMENTS", 3 * d * h * k * k)
+    chunks = network.attention_chunks(n, k, d, h)
+    assert [(s.start, s.stop) for s in chunks] == [
+        (0, 2 * k * d), (2 * k * d, 5 * k * d), (5 * k * d, 8 * k * d), (8 * k * d, n)]
+    r = np.random.default_rng(30)
+    params = AttentionParams.init(c, h, r, dtype=dtype)
+    x = T.Tensor(r.normal(size=(n, c)), dtype)
+    cotangent = T.Tensor(r.normal(size=(n, c)), dtype)
+
+    def one_plan(t):
+        return windowed_attention(t, make_plan(n, k, d), params)
+
+    def chunked(t):
+        return network.chunked_attention(t, k, d, params)
+
+    want = one_plan(x).data
+    assert chunked(x).data.tobytes() == want.tobytes()  # no tape
+    got_y, got_grads, _ = _attention_outputs(chunked, x, params, cotangent)
+    want_y, want_grads, _ = _attention_outputs(one_plan, x, params, cotangent)
+    assert got_y.tobytes() == want.tobytes() == want_y.tobytes()
+    # each row's gradient comes from its own window: the same bits; a weight's
+    # gradient sums over the chunks, so only its summation order differs
+    assert got_grads[0].tobytes() == want_grads[0].tobytes()
+    rtol = 1e-5 if dtype == np.float32 else 1e-12
+    for g, w in zip(got_grads[1:], want_grads[1:]):
+        assert g.dtype == w.dtype
+        np.testing.assert_allclose(g, w, rtol=rtol, atol=rtol * np.abs(w).max())
+
+    # one chunk is the one-plan call itself: the same bits, no extra tape node
+    monkeypatch.setattr(network, "ATTN_CHUNK_ELEMENTS", 1 << 20)
+    assert len(network.attention_chunks(n, k, d, h)) == 1
+    got_y, got_grads, got_nodes = _attention_outputs(chunked, x, params, cotangent)
+    _, _, want_nodes = _attention_outputs(one_plan, x, params, cotangent)
+    assert got_y.tobytes() == want.tobytes() and got_nodes == want_nodes
+    for g, w in zip(got_grads, want_grads):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_chunked_attention_gradcheck(monkeypatch, d):
+    k, c, h = 2, 4, 2
+    n = 5 * k * d - 1
+    monkeypatch.setattr(network, "ATTN_CHUNK_ELEMENTS", 2 * d * h * k * k)
+    assert len(network.attention_chunks(n, k, d, h)) == 3
+
+    def build(xs):
+        params = AttentionParams(*xs[1:5], heads=h, head_dim=c // h)
+        return T.sum_(T.mul(network.chunked_attention(xs[0], k, d, params), xs[5]))
+
+    gradcheck(build, [(n, c), (c, c), (c, c), (c, c), (c, c), (n, c)])
+
+
+def test_chunked_attention_without_tape_keeps_no_full_score_array():
+    import tracemalloc
+
+    # 20,000 tokens, C = 32, H = 8, K = 32: 5 chunks at the default budget, and
+    # one (B, H, K, K) array of all the windows is 8 times the (N, C) output
+    n, c, h, k = 20_000, 32, 8, 32
+    assert len(network.attention_chunks(n, k, 1, h)) >= 4
+    r = np.random.default_rng(31)
+    params = AttentionParams.init(c, h, r, dtype=np.float32)
+    x = T.Tensor(r.normal(size=(n, c)), np.float32)
+    tracemalloc.start()
+    try:
+        network.chunked_attention(x, k, 1, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < make_plan(n, k, 1).b * h * k * k * 4

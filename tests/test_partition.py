@@ -294,6 +294,28 @@ def test_attention_gradcheck():
     assert relative_error(gq[mask], fdq[mask]) < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_without_padding_adds_no_mask(monkeypatch, dtype):
+    from octformer import partition
+
+    n, k, d, c, h = 48, 4, 3, 8, 2  # 4 whole spans: no padded slot
+    params = random_attention(c, h, seed=21, dtype=dtype)
+    x = T.Tensor(np.random.default_rng(22).normal(size=(n, c)), dtype)
+    x.data[:k * d] = 0.0  # all-zero scores in the first span
+    adds = []
+
+    def counting_add(a, b):
+        adds.append(b.shape)
+        return T.add(a, b)
+
+    monkeypatch.setattr(partition, "add", counting_add)
+    padded = windowed_attention(x, make_plan(n, k, d, padded=n + k * d), params)
+    assert adds == [(n // k + d, 1, 1, k)]
+    plain = windowed_attention(x, make_plan(n, k, d), params)
+    assert adds == [(n // k + d, 1, 1, k)]
+    assert plain.data.tobytes() == padded.data.tobytes()
+
+
 @pytest.mark.parametrize("d, dtype", [(1, np.float32), (4, np.float64)])
 def test_attention_without_tape_frees_scores_and_windows(d, dtype):
     import tracemalloc
