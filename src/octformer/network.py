@@ -280,8 +280,9 @@ def mlp_forward(x: Tensor, mlp: MlpParams) -> Tensor:
 
 
 # Most (B, H, K, K) score elements of one attention chunk: 4 MB at float32.
-# Smaller chunks make the Q/K/V and output GEMMs short (at 2^17 a stage-2
-# chunk is one span of 128 rows of 384 channels), which costs time.
+# Smaller chunks make the Q/K/V and output GEMMs short (at 2^17 a dilated
+# stage-2 chunk of the small preset is one span: 128 rows of 384 channels),
+# which costs time; larger ones raise the peak and gain no speed.
 ATTN_CHUNK_ELEMENTS = 1 << 20
 
 
