@@ -41,6 +41,8 @@ from .tensor import (
     gather_rows,
     gelu_mlp,
     linear,
+    linear_add_rows,
+    linear_relu,
     map_rows,
     mean_,
     reshape,
@@ -391,9 +393,9 @@ def fpn_segmentation_head(pyramid: FeaturePyramid, octree: Octree,
     u = linear(pyramid.levels[-1], head.lateral[-1])
     for i in range(len(pyramid.levels) - 2, -1, -1):
         parents = octree.parent_index[pyramid.depths[i]]  # parent -> children copy
-        u = linear(pyramid.levels[i], head.lateral[i], gathered=(u, parents))
+        u = linear_add_rows(pyramid.levels[i], head.lateral[i], u, parents)
     u = octree_conv(u, octree, pyramid.depths[0], head.fuse)
-    u = linear(u, head.hidden, relu=True)
+    u = linear_relu(u, head.hidden)
     logits = linear(u, head.classifier)
     return gather_rows(logits, point_ancestor_index(octree, pyramid.depths[0]))
 

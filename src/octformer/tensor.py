@@ -11,9 +11,9 @@ Activations take their inputs' dtype (numpy's promotion of the operands),
 and a scalar never promotes: a Python or numpy scalar operand of ``add``,
 ``sub`` or ``mul`` takes the dtype of the tensor operand. Ops write only into
 arrays they allocated themselves, never into an input, so an in-place step
-(``linear``'s bias add, gathered rows and ReLU, the passes of ``gelu``,
-``softmax`` and the norms) computes the same bits as the expression it
-replaces. The exception is float32
+(``linear``'s bias add, the epilogues of :func:`linear_relu` and
+:func:`linear_add_rows`, the passes of ``gelu``, ``softmax`` and the norms)
+computes the same bits as the expression it replaces. The exception is float32
 ``gelu``, whose erf is a rational approximation rather than scipy's (see
 :func:`_gaussian_cdf`); float64 ``gelu`` is scipy's, bit for bit. scipy is
 imported at the first float64 ``gelu``, so float32 programs (``segment`` of a
@@ -24,7 +24,7 @@ where their statistics come from: the last axis, the batch axis, or a batch
 norm's running statistics in eval. Their epsilon (``NORM_EPS``) and the batch
 norm momentum (``BN_MOMENTUM``) are constants.
 
-Row-blocked ops (:func:`gelu_mlp` and :func:`linear`'s gathered rows here,
+Row-blocked ops (:func:`gelu_mlp` and :func:`linear_add_rows` here,
 ``octconv.gathered_conv``) split their rows with one rule, :func:`row_blocks`:
 equal blocks of at most about ``MLP_BLOCK_ELEMENTS`` (2^17) elements, so that
 no full-size temporary exists and the bits match the unblocked expression.
@@ -297,24 +297,35 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Row gather with an absent sentinel: idx == -1 selects a zero row.
     ``idx`` is used in its own integer dtype (the octree's int32), not copied."""
     x = as_tensor(x)
+    idx = _row_index(idx, x.shape[0])
+    out = Tensor(_gathered(x.data, idx))
+    _record(out, (x,), lambda g: (_scatter_rows(g, idx, x.shape),))
+    return out
+
+
+def _row_index(idx: np.ndarray, n: int) -> np.ndarray:
+    """``idx`` as an array of rows of an n-row array, -1 for an absent row."""
     idx = np.asarray(idx)
-    n = x.shape[0]
     if idx.size and idx.max() >= n:
         raise IndexError(f"gather index {int(idx.max())} >= {n}")
     if idx.size and idx.min() < -1:
         raise IndexError("gather indices must be >= -1")
-    present = idx >= 0
-    out_data = x.data[np.clip(idx, 0, None)]
-    out_data[~present] = 0.0
-    out = Tensor(out_data)
+    return idx
 
-    def vjp(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        np.add.at(gx, idx[present], g[present])
-        return (gx,)
 
-    _record(out, (x,), vjp)
+def _gathered(data: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``data[idx]`` as a new array, a zero row where ``idx`` is -1."""
+    out = data[np.clip(idx, 0, None)]
+    out[idx < 0] = 0.0
     return out
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The vjp of :func:`_gathered`: g's rows added into zeros at ``idx``."""
+    present = idx >= 0
+    gx = np.zeros(shape, dtype=g.dtype)
+    np.add.at(gx, idx[present], g[present])
+    return gx
 
 
 def scatter_rows_add(y: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
@@ -581,52 +592,22 @@ class LinearParams:
                    Tensor(np.zeros(fan_out, dtype=dt)))
 
 
-def linear(x: Tensor, p: LinearParams, relu: bool = False,
-           gathered: tuple[Tensor, np.ndarray] | None = None) -> Tensor:
-    """(N, in) @ (in, out) plus the bias, added in place, as one taped op.
-
-    Two epilogues run in place on that output, with the bits of the ops they
-    replace. ``gathered=(y, idx)`` adds the rows ``y[idx]`` (every index
-    present, ``y`` of the output's dtype and width), as
-    ``add(gather_rows(y, idx), linear(x, p))`` does: the add commutes, and it
-    runs over :func:`row_blocks`, so no full-size gather exists. ``relu`` is
-    ``relu(linear(x, p))``; its vjp mask ``out > 0`` is the pre-activation's.
-    """
+def _affine(x: Tensor, p: LinearParams):
+    """(N, in) @ (in, out) plus the bias, added in place: the output, its
+    parents and its vjp."""
     x, w = as_tensor(x), p.weight
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear wants (N, {w.shape[0]}) input, got {x.shape}")
     out = np.matmul(x.data, w.data)
-    parents = (x, w)
-    if p.bias is not None:
-        out += p.bias.data
-        parents += (p.bias,)
-    if gathered is not None:
-        y, idx = as_tensor(gathered[0]), np.asarray(gathered[1])
-        if (idx.shape != out.shape[:1] or y.shape[1:] != out.shape[1:]
-                or y.dtype != out.dtype):
-            raise ShapeError(f"cannot add rows of {y.shape} {y.dtype} at "
-                             f"{idx.shape} indices to {out.shape} {out.dtype}")
-        if idx.size and (idx.min() < 0 or idx.max() >= y.shape[0]):
-            raise IndexError(f"gathered indices must lie in [0, {y.shape[0]})")
-        for blk in row_blocks(*out.shape):
-            out[blk] += y.data[idx[blk]]
-        parents += (y,)
-    if relu:
-        np.maximum(out, 0.0, out=out)
+    if p.bias is None:
+        return out, (x, w), lambda g: (g @ w.data.T, x.data.T @ g)
+    out += p.bias.data
+    return out, (x, w, p.bias), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
 
-    def vjp(g):
-        if relu:
-            g = (g * (out > 0)).astype(out.dtype)
-        grads = [g @ w.data.T, x.data.T @ g]
-        if p.bias is not None:
-            grads.append(g.sum(axis=0))
-        if gathered is not None:
-            gy = np.zeros(y.shape, dtype=g.dtype)
-            np.add.at(gy, idx, g)
-            grads.append(gy)
-        return tuple(grads)
 
-    return from_op(out, parents, vjp)
+def linear(x: Tensor, p: LinearParams) -> Tensor:
+    """(N, in) @ (in, out) plus the bias, added in place, as one taped op."""
+    return from_op(*_affine(x, p))
 
 
 # Most elements of one row block of :func:`gelu_mlp`'s hidden activations and of
@@ -652,15 +633,16 @@ def map_rows(fn, x: Tensor, blocks: list[slice]) -> Tensor:
     ``blocks`` are contiguous and cover every row. One block is ``fn(x)``
     itself. Otherwise each output is copied into the result when it returns,
     so untaped it dies before the next block runs. Taped, the join's vjp
-    hands each block its slice of ``g``.
+    hands each block its slice of ``g``, and each block's rows of x pass
+    theirs on padded with zero rows, for ``backward`` to sum.
     """
     x = as_tensor(x)
     if len(blocks) == 1:
         return fn(x)
     taped = bool(_ACTIVE)
     out, outs = None, []
-    for blk, part in zip(blocks, _split_rows(x, blocks)):
-        y = fn(part)
+    for blk in blocks:
+        y = fn(_rows(x, blk))
         if out is None:
             out = np.empty((x.shape[0],) + y.shape[1:], y.dtype)
         out[blk] = y.data
@@ -670,29 +652,14 @@ def map_rows(fn, x: Tensor, blocks: list[slice]) -> Tensor:
     return from_op(out, tuple(outs), lambda g: tuple(g[b] for b in blocks))
 
 
-def _split_rows(x: Tensor, blocks: list[slice]) -> list[Tensor]:
-    """Row blocks of ``x`` (views), whose vjps share one gradient array.
+def _rows(x: Tensor, blk: slice) -> Tensor:
+    """Rows ``blk`` of ``x``, a view; the vjp pads g with zero rows."""
+    def vjp(g):
+        gx = np.zeros(x.shape, g.dtype)
+        gx[blk] = g
+        return (gx,)
 
-    An identity node (the hub) is recorded before the blocks, so in
-    ``backward`` every block's vjp runs before the hub's. The first block vjp
-    to run allocates the zeroed gradient of x's shape and hands it to the
-    hub, every block writes its rows into it, and the hub's vjp passes it on
-    and forgets it. So the gradient costs one array, not one per block.
-    """
-    grad = {}
-    hub = from_op(x.data, (x,), lambda g: (grad.pop("x"),))
-
-    def part(blk: slice) -> Tensor:
-        def vjp(g):
-            first = "x" not in grad
-            if first:
-                grad["x"] = np.zeros(x.shape, g.dtype)
-            grad["x"][blk] = g
-            return (grad["x"] if first else None,)
-
-        return from_op(x.data[blk], (hub,), vjp)
-
-    return [part(blk) for blk in blocks]
+    return from_op(x.data[blk], (x,), vjp)
 
 
 def gelu_mlp(x: Tensor, fc1: LinearParams, fc2: LinearParams) -> Tensor:
@@ -733,6 +700,34 @@ def gelu_mlp(x: Tensor, fc1: LinearParams, fc2: LinearParams) -> Tensor:
         return gh @ w1.data.T, x.data.T @ gh, gh.sum(axis=0), a.T @ g, g.sum(axis=0)
 
     return from_op(out, (x, w1, b1, w2, b2), vjp)
+
+
+def linear_relu(x: Tensor, p: LinearParams) -> Tensor:
+    """``relu(linear(x, p))`` as one taped op, with its bits: the ReLU runs in
+    place on the linear's output, and the vjp's mask ``out > 0`` is the
+    pre-activation's."""
+    out, parents, vjp = _affine(x, p)
+    np.maximum(out, 0.0, out=out)
+    return from_op(out, parents, lambda g: vjp((g * (out > 0)).astype(out.dtype)))
+
+
+def linear_add_rows(x: Tensor, p: LinearParams, y: Tensor, idx: np.ndarray) -> Tensor:
+    """``add(gather_rows(y, idx), linear(x, p))`` as one taped op, with its bits.
+
+    The add commutes, so the rows ``y[idx]`` are added into the linear's own
+    output in place, over its :func:`row_blocks`: no full-size gather exists.
+    ``y`` must have the output's width and dtype.
+    """
+    out, parents, vjp = _affine(x, p)
+    y = as_tensor(y)
+    idx = _row_index(idx, y.shape[0])
+    if idx.shape != out.shape[:1] or y.shape[1:] != out.shape[1:] or y.dtype != out.dtype:
+        raise ShapeError(f"cannot add rows of {y.shape} {y.dtype} at "
+                         f"{idx.shape} indices to {out.shape} {out.dtype}")
+    for blk in row_blocks(*out.shape):
+        out[blk] += _gathered(y.data, idx[blk])
+    return from_op(out, parents + (y,),
+                   lambda g: vjp(g) + (_scatter_rows(g, idx, y.shape),))
 
 
 @dataclass

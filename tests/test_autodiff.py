@@ -662,7 +662,7 @@ def test_head_fused_linears_match_the_op_chains_bit_for_bit(monkeypatch, rows,
     u.data[0] = 0.0  # pre-activations of exactly zero: no gradient through the ReLU
     inputs = [u, hidden.weight, hidden.bias, classifier.weight, classifier.bias]
     cotangent = T.Tensor(r.normal(size=(rows, classes)), x_dtype)
-    got = _outputs(lambda: T.linear(T.linear(u, hidden, relu=True), classifier),
+    got = _outputs(lambda: T.linear(T.linear_relu(u, hidden), classifier),
                    inputs, cotangent)
     want = _outputs(lambda: _hidden_chain(u, hidden, classifier), inputs, cotangent)
     for g, w in zip(got, want):
@@ -676,13 +676,13 @@ def test_head_fused_linears_match_the_op_chains_bit_for_bit(monkeypatch, rows,
     parents = np.sort(r.integers(0, coarse.shape[0], rows)).astype(np.int32)
     inputs = [level, lateral.weight, lateral.bias, coarse]
     cotangent = T.Tensor(r.normal(size=(rows, f)), x_dtype)
-    got = _outputs(lambda: T.linear(level, lateral, gathered=(coarse, parents)),
+    got = _outputs(lambda: T.linear_add_rows(level, lateral, coarse, parents),
                    inputs, cotangent)
     want = _outputs(lambda: _merge_chain(level, lateral, coarse, parents),
                     inputs, cotangent)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    untaped = T.linear(level, lateral, gathered=(coarse, parents))
+    untaped = T.linear_add_rows(level, lateral, coarse, parents)
     assert untaped.data.tobytes() == want[0].tobytes()
 
 
@@ -691,21 +691,25 @@ def test_head_fused_linears_gradcheck(monkeypatch):
     parents = np.array([0, 0, 1, 2, 2, 2])
 
     def build(xs):
-        u = T.linear(xs[0], T.LinearParams(xs[1], xs[2]), gathered=(xs[3], parents))
-        y = T.linear(u, T.LinearParams(xs[4], xs[5]), relu=True)
+        u = T.linear_add_rows(xs[0], T.LinearParams(xs[1], xs[2]), xs[3], parents)
+        y = T.linear_relu(u, T.LinearParams(xs[4], xs[5]))
         return T.sum_(T.mul(y, xs[6]))
 
     gradcheck(build, [(6, 3), (3, 4), (4,), (3, 4), (4, 5), (5,), (6, 5)])
 
 
-def test_linear_gathered_rows_are_checked():
-    p = T.LinearParams(T.Tensor(np.zeros((3, 4))))
-    x, y = T.Tensor(np.zeros((5, 3))), T.Tensor(np.zeros((2, 4)))
-    for idx in ([0, 1, 1, 2, 0], [0, 1, 1, -1, 0]):
+def test_linear_add_rows_checks_its_rows():
+    r = rng(28)
+    p = T.LinearParams(T.Tensor(r.normal(size=(3, 4))), T.Tensor(r.normal(size=4)))
+    x, y = T.Tensor(r.normal(size=(5, 3))), T.Tensor(r.normal(size=(2, 4)))
+    idx = np.array([0, 1, 1, -1, 0])  # -1 adds a zero row, as gather_rows gives
+    got = T.linear_add_rows(x, p, y, idx)
+    assert got.data.tobytes() == _merge_chain(x, p, y, idx).data.tobytes()
+    for idx in ([0, 1, 1, 2, 0], [0, 1, 1, -2, 0]):
         with pytest.raises(IndexError):
-            T.linear(x, p, gathered=(y, np.array(idx)))
+            T.linear_add_rows(x, p, y, np.array(idx))
     for bad_y, idx in ((T.Tensor(np.zeros((2, 5))), [0] * 5),
                        (T.Tensor(np.zeros((2, 4)), np.float32), [0] * 5),
                        (y, [0] * 4)):
         with pytest.raises(ShapeError):
-            T.linear(x, p, gathered=(bad_y, np.array(idx)))
+            T.linear_add_rows(x, p, bad_y, np.array(idx))
