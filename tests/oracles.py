@@ -219,3 +219,152 @@ def gradcheck(build, shapes, seed=0, tol=1e-4, step=1e-5, max_probe=40):
         worst = max(worst, err)
         assert err < tol, f"input {i}: rel err {err}"
     return worst
+
+
+# -- the whole segmentation network: the reference for network.segment_logits ----
+
+NORM_EPS = 1e-5  # every layer and batch norm adds this to the variance (README)
+
+
+class _Nodes:
+    """The non-empty cells at one depth in z-order (scalar key) rank, with a
+    dict from integer cell to rank."""
+
+    def __init__(self, cells, depth: int):
+        self.depth = depth
+        self.cells = sorted(set(cells), key=lambda c: encode(*c, depth).code)
+        self.rank = {c: i for i, c in enumerate(self.cells)}
+
+
+def _naive_conv(x: np.ndarray, src: _Nodes, dst: _Nodes, weights: np.ndarray,
+                kernel: int, stride: int, depthwise: bool = False) -> np.ndarray:
+    """Per output node, per offset (dz fastest) dict lookup of the input cell
+    ``stride * c + offset``; an absent cell adds nothing."""
+    offs = (-1, 0, 1) if kernel == 3 else (0, 1)
+    taps = [(dx, dy, dz) for dx in offs for dy in offs for dz in offs]
+    w = np.asarray(weights, dtype=np.float64)
+    out = np.zeros((len(dst.cells), w.shape[-1]))
+    for o, (cx, cy, cz) in enumerate(dst.cells):
+        for t, (dx, dy, dz) in enumerate(taps):
+            j = src.rank.get((stride * cx + dx, stride * cy + dy, stride * cz + dz))
+            if j is not None:
+                out[o] += x[j] * w[t] if depthwise else x[j] @ w[t]
+    return out
+
+
+def _naive_norm(x: np.ndarray, mean, var, gamma, beta) -> np.ndarray:
+    return (x - mean) / np.sqrt(var + NORM_EPS) * np.asarray(gamma, np.float64) \
+        + np.asarray(beta, np.float64)
+
+
+def _naive_batch_norm(x: np.ndarray, bn, training: bool) -> np.ndarray:
+    if training:  # statistics of this batch: mean and biased variance per channel
+        return _naive_norm(x, x.mean(axis=0), x.var(axis=0), bn.gamma.data, bn.beta.data)
+    return _naive_norm(x, bn.running_mean, bn.running_var, bn.gamma.data, bn.beta.data)
+
+
+def _naive_layer_norm(x: np.ndarray, ln) -> np.ndarray:
+    mean = x.mean(axis=1, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=1, keepdims=True)
+    return _naive_norm(x, mean, var, ln.gamma.data, ln.beta.data)
+
+
+def _naive_linear(x: np.ndarray, p) -> np.ndarray:
+    return x @ p.weight.data.astype(np.float64) + p.bias.data.astype(np.float64)
+
+
+def _naive_gelu(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf
+
+    return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
+    """Per-point logits of the segmentation network at float64, from the
+    paper's layout: an embedding of five conv/BN/ReLU modules (kernels
+    3,2,3,2,3, strides 1,2,1,2,1) takes the leaf features two depths up; four
+    stages of blocks (CPE, then pre-norm windowed attention and pre-norm GELU
+    MLP, each with a residual) run one depth apart, joined by kernel-2
+    stride-2 conv/BN downsamples; block b of a stage has dilation 1 when b is
+    even and the config's dilation when b is odd. The FPN head adds each
+    level's lateral linear to its parent's (cell >> 1) merged row, then runs a
+    k3 conv, a ReLU hidden layer and the classifier per finest node, and every
+    point takes its node's logits.
+
+    Attention is ``dense_masked_attention`` over all N tokens of a depth, with
+    window id ``(p // (K D)) D + p % D`` for z-order rank p. ``training``
+    uses each batch norm's batch statistics, as the program does.
+    """
+    config = model.config
+    if config.embed_depth not in (None, cloud.depth):
+        raise ValueError("the oracle embeds at the octree depth")
+    depth = cloud.depth
+    scaled = cloud.positions * float(1 << depth)
+    grid = np.minimum(np.floor(scaled), (1 << depth) - 1)  # a point at 1 - ulp
+    cells = [tuple(int(v) for v in c) for c in grid]
+    nodes = {level: _Nodes([(x >> (depth - level), y >> (depth - level),
+                             z >> (depth - level)) for x, y, z in cells], level)
+             for level in range(depth - 5, depth + 1)}
+
+    # leaf features: per leaf, the mean of (offset from the voxel centre, in
+    # voxel units), colour and normal, in that order, for the enabled ones
+    signal = []
+    if "position" in config.features:
+        signal.append(scaled - grid - 0.5)
+    if "color" in config.features:
+        signal.append(cloud.colors)
+    if "normal" in config.features:
+        signal.append(cloud.normals)
+    signal = np.concatenate(signal, axis=1)
+    leaves = nodes[depth]
+    x = np.zeros((len(leaves.cells), signal.shape[1]))
+    counts = np.zeros(len(leaves.cells))
+    for c, row in zip(cells, signal):
+        x[leaves.rank[c]] += row
+        counts[leaves.rank[c]] += 1
+    x /= counts[:, None]
+
+    level = depth
+    for kernel, stride, mod in zip((3, 2, 3, 2, 3), (1, 2, 1, 2, 1),
+                                   model.backbone.embedding.modules):
+        src, level = nodes[level], level - (stride == 2)
+        x = _naive_conv(x, src, nodes[level], mod.conv.weights.data, kernel, stride)
+        x = np.maximum(_naive_batch_norm(x, mod.bn, training), 0.0)
+
+    k = config.point_number
+    pyramid = []
+    for stage in model.backbone.stages:
+        here = nodes[level]
+        ranks = np.arange(len(here.cells))
+        for b, block in enumerate(stage.blocks):
+            if block.cpe is not None:
+                enc = _naive_conv(x, here, here, block.cpe.kernel.data, 3, 1,
+                                  depthwise=True)
+                x = x + _naive_batch_norm(enc, block.cpe.bn, training)
+            d = 1 if b % 2 == 0 else config.dilation
+            window = (ranks // (k * d)) * d + ranks % d
+            a = block.attn
+            x = x + dense_masked_attention(_naive_layer_norm(x, block.ln1), a.w_q.data,
+                                           a.w_k.data, a.w_v.data, a.w_o.data,
+                                           a.heads, window)
+            h = _naive_gelu(_naive_linear(_naive_layer_norm(x, block.ln2), block.mlp.fc1))
+            x = x + _naive_linear(h, block.mlp.fc2)
+        pyramid.append((x, here))
+        if stage.down is not None:
+            level -= 1
+            x = _naive_conv(x, here, nodes[level], stage.down.conv.weights.data, 2, 2)
+            x = _naive_batch_norm(x, stage.down.bn, training)
+
+    head = model.seg_head
+    u, above = None, None
+    for (feat, here), lateral in reversed(list(zip(pyramid, head.lateral))):
+        lat = _naive_linear(feat, lateral)
+        if u is not None:
+            lat += np.stack([u[above.rank[(cx >> 1, cy >> 1, cz >> 1)]]
+                             for cx, cy, cz in here.cells])
+        u, above = lat, here
+    u = _naive_conv(u, above, above, head.fuse.weights.data, 3, 1)
+    u = _naive_linear(np.maximum(_naive_linear(u, head.hidden), 0.0), head.classifier)
+    shift = depth - above.depth
+    return np.stack([u[above.rank[(x >> shift, y >> shift, z >> shift)]]
+                     for x, y, z in cells])
