@@ -34,7 +34,6 @@ from .tensor import (
     LinearParams,
     Tape,
     Tensor,
-    add,
     apply_layer_norm,
     backward,
     cross_entropy,
@@ -46,8 +45,10 @@ from .tensor import (
     map_rows,
     mean_,
     reshape,
+    residual_rows,
     row_blocks,
     scatter_rows_add,
+    taping,
 )
 
 STAGE_WIDTH_FACTORS = (1, 2, 4, 4)
@@ -311,15 +312,25 @@ def chunked_attention(x: Tensor, k: int, d: int, params: AttentionParams) -> Ten
 def octformer_block(x: Tensor, octree: Octree, depth: int, block: BlockParams,
                     point_number: int, training: bool) -> Tensor:
     """CPE (skipped when ``block.cpe`` is None), then pre-norm chunked
-    attention and pre-norm MLP with residuals."""
+    attention and pre-norm MLP with residuals.
+
+    Layer norm is per row, so untaped each branch runs, norm included, over
+    row blocks (the attention chunks, then the MLP's row blocks), and its
+    residual sum goes into the block's own array: the CPE's output, or one
+    new array when there is no CPE.
+    """
     n = octree.node_count(depth)
     if x.shape[0] != n:
         raise ShapeError(f"x has {x.shape[0]} rows, depth {depth} has {n} nodes")
     if block.cpe is not None:
         x = conditional_positional_encoding(x, octree, depth, block.cpe, training)
-    x = add(x, chunked_attention(apply_layer_norm(x, block.ln1), point_number,
-                                 block.dilation, block.attn))
-    return add(x, mlp_forward(apply_layer_norm(x, block.ln2), block.mlp))
+    k, d, attn, mlp = point_number, block.dilation, block.attn, block.mlp
+    x = residual_rows(lambda rows: chunked_attention(apply_layer_norm(rows, block.ln1),
+                                                     k, d, attn),
+                      x, attention_chunks(n, k, d, attn.heads),
+                      overwrite_x=block.cpe is not None)
+    return residual_rows(lambda rows: mlp_forward(apply_layer_norm(rows, block.ln2), mlp),
+                         x, row_blocks(n, mlp.fc1.weight.shape[1]), overwrite_x=True)
 
 
 def pool_to_depth(octree: Octree, feats: Tensor, from_depth: int,
@@ -377,10 +388,23 @@ def point_ancestor_index(octree: Octree, target_depth: int) -> np.ndarray:
     return idx
 
 
+# Most output rows per block of the FPN head's fuse conv, hidden layer and
+# classifier without a tape. Equal blocks of more than 2^12 rows keep the
+# classifier's BLAS kernel: for a (rows, 168) x (168, 2) GEMM, OpenBLAS picks
+# another one (other bits) below about 3,000 rows.
+HEAD_BLOCK_ROWS = 1 << 13
+
+
 def fpn_segmentation_head(pyramid: FeaturePyramid, octree: Octree,
                           head: SegHeadParams, training: bool = False) -> Tensor:
     """Top-down merge of the pyramid, k3 conv, then an MLP per finest node,
-    whose logits every point inside that node takes."""
+    whose logits every point inside that node takes.
+
+    Untaped, the head spends the pyramid: each level is set to None in
+    ``pyramid.levels`` once merged, so that it can die. The conv, the hidden
+    layer and the classifier then run per block of ``HEAD_BLOCK_ROWS`` output
+    rows, so that only the merged features are full size.
+    """
     if len(pyramid.levels) != len(head.lateral):
         raise ShapeError("pyramid and head level counts differ")
     for lvl, d in zip(pyramid.levels, pyramid.depths):
@@ -388,15 +412,23 @@ def fpn_segmentation_head(pyramid: FeaturePyramid, octree: Octree,
             raise ShapeError("pyramid level does not match the octree")
 
     # u is rebound at each op, so untaped the op's input dies as soon as it
-    # returns: each level's lateral takes its parent's rows into its own
-    # output, and the hidden layer's ReLU runs in place
-    u = linear(pyramid.levels[-1], head.lateral[-1])
-    for i in range(len(pyramid.levels) - 2, -1, -1):
+    # returns: each level's lateral takes its parent's rows into its own output
+    levels, spent = pyramid.levels, not taping()
+    u = linear(levels[-1], head.lateral[-1])
+    for i in range(len(levels) - 2, -1, -1):
+        if spent:
+            levels[i + 1] = None
         parents = octree.parent_index[pyramid.depths[i]]  # parent -> children copy
-        u = linear_add_rows(pyramid.levels[i], head.lateral[i], u, parents)
-    u = octree_conv(u, octree, pyramid.depths[0], head.fuse)
-    u = linear_relu(u, head.hidden)
-    logits = linear(u, head.classifier)
+        u = linear_add_rows(levels[i], head.lateral[i], u, parents)
+    if spent:
+        levels[0] = None
+
+    def classify(rows: Tensor) -> Tensor:
+        return linear(linear_relu(rows, head.hidden), head.classifier)
+
+    n = octree.node_count(pyramid.depths[0])
+    logits = octree_conv(u, octree, pyramid.depths[0], head.fuse, then=classify,
+                         blocks=row_blocks(n, 1, HEAD_BLOCK_ROWS))
     return gather_rows(logits, point_ancestor_index(octree, pyramid.depths[0]))
 
 

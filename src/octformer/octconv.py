@@ -37,6 +37,7 @@ from .tensor import (
     init_weight,
     relu,
     row_blocks,
+    taping,
 )
 
 
@@ -81,16 +82,42 @@ def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> TapTab
     return octree.tap_table(depth, kernel, stride)
 
 
-def gathered_conv(x: Tensor, idx: TapTable, weights: Tensor,
-                  depthwise: bool) -> Tensor:
-    """Per-tap contractions over a tap table's cached pairs, as one taped op."""
-    pairs = idx.pairs
-    xd, w = x.data, weights.data
-    out = np.zeros((idx.shape[0], w.shape[-1]), dtype=np.result_type(xd, w))
+def _conv_rows(xd: np.ndarray, pairs, w: np.ndarray, depthwise: bool,
+               out_rows: slice) -> np.ndarray:
+    """Output rows ``out_rows`` of the conv: each tap's pairs with those output
+    rows (a ``searchsorted`` range, as a tap's rows are sorted), in
+    :func:`row_blocks` of its products."""
+    start, stop = out_rows.start, out_rows.stop
+    out = np.zeros((stop - start, w.shape[-1]), dtype=np.result_type(xd, w))
     for (rows, cols), wt in zip(pairs, w):
+        lo, hi = np.searchsorted(rows, (start, stop))
+        rows, cols = rows[lo:hi], cols[lo:hi]
         for blk in row_blocks(rows.shape[0], out.shape[1]):
             r, c = rows[blk], cols[blk]
-            out[r] += xd[c] * wt if depthwise else xd[c] @ wt
+            out[r - start] += xd[c] * wt if depthwise else xd[c] @ wt
+    return out
+
+
+def gathered_conv(x: Tensor, idx: TapTable, weights: Tensor, depthwise: bool,
+                  then=None, blocks: list[slice] | None = None) -> Tensor:
+    """Per-tap contractions over a tap table's cached pairs, as one taped op.
+
+    ``then(conv)`` is returned for a row-local ``then`` (the head's MLP), with
+    its bits when ``then`` keeps them over the row ``blocks`` of the output
+    (by default one block). Untaped, each block of output rows is convolved
+    and passed through ``then`` on its own, so no full-size conv output exists.
+    """
+    pairs = idx.pairs
+    xd, w = x.data, weights.data
+    if then is not None and not taping():
+        out = None
+        for blk in blocks or [slice(0, idx.shape[0])]:
+            y = then(Tensor(_conv_rows(xd, pairs, w, depthwise, blk))).data
+            if out is None:
+                out = np.empty((idx.shape[0],) + y.shape[1:], y.dtype)
+            out[blk] = y
+        return Tensor(out)
+    out = _conv_rows(xd, pairs, w, depthwise, slice(0, idx.shape[0]))
 
     def vjp(g):
         gx = np.zeros(xd.shape, dtype=g.dtype)
@@ -101,18 +128,21 @@ def gathered_conv(x: Tensor, idx: TapTable, weights: Tensor,
             gx[cols] += gt * wt if depthwise else gt @ wt.T
         return gx, gw
 
-    return from_op(out, (x, weights), vjp)
+    conv = from_op(out, (x, weights), vjp)
+    return conv if then is None else then(conv)
 
 
-def octree_conv(x: Tensor, octree: Octree, depth: int, spec: ConvSpec) -> Tensor:
-    """Sparse convolution at ``depth``; stride 2 emits depth - 1 features."""
+def octree_conv(x: Tensor, octree: Octree, depth: int, spec: ConvSpec, then=None,
+                blocks: list[slice] | None = None) -> Tensor:
+    """Sparse convolution at ``depth``; stride 2 emits depth - 1 features.
+    ``then`` and ``blocks`` are :func:`gathered_conv`'s."""
     n_in = octree.node_count(depth)
     if x.shape[0] != n_in:
         raise ShapeError(f"x has {x.shape[0]} rows, depth {depth} has {n_in} nodes")
     if x.shape[1] != spec.in_channels:
         raise ShapeError(f"x has {x.shape[1]} channels, spec wants {spec.in_channels}")
     idx = conv_indices(octree, depth, spec.kernel, spec.stride)
-    return gathered_conv(x, idx, spec.weights, spec.depthwise)
+    return gathered_conv(x, idx, spec.weights, spec.depthwise, then, blocks)
 
 
 def depthwise_conv(x: Tensor, octree: Octree, depth: int, kernel: Tensor) -> Tensor:
@@ -168,12 +198,14 @@ def embedding_stack(x: Tensor, octree: Octree, depth: int,
         x = octree_conv(x, octree, cur_depth, mod.conv)
         if mod.conv.stride == 2:
             cur_depth -= 1
-        x = relu(batch_norm(x, mod.bn, training))
+        # untaped, the norm and the ReLU run in place on the conv's output
+        x = relu(batch_norm(x, mod.bn, training, overwrite_x=True), overwrite_x=True)
     return x
 
 
 def downsample(x: Tensor, octree: Octree, depth: int, params: ConvBnParams,
                training: bool) -> Tensor:
-    """Kernel-2 stride-2 conv + BN; output lives at depth - 1."""
+    """Kernel-2 stride-2 conv + BN; output lives at depth - 1. Untaped, the
+    norm runs in place on the conv's output."""
     x = octree_conv(x, octree, depth, params.conv)
-    return batch_norm(x, params.bn, training)
+    return batch_norm(x, params.bn, training, overwrite_x=True)

@@ -208,8 +208,10 @@ def conditional_positional_encoding(x: Tensor, octree: Octree, depth: int,
         raise ShapeError(
             f"x has {x.shape[0]} rows, depth {depth} has {octree.node_count(depth)} nodes"
         )
-    encoded = batch_norm(depthwise_conv(x, octree, depth, cpe.kernel), cpe.bn, training)
-    return add(x, encoded)
+    # untaped, the norm runs in place on the conv's output and x is added into it
+    encoded = batch_norm(depthwise_conv(x, octree, depth, cpe.kernel), cpe.bn, training,
+                         overwrite_x=True)
+    return add(x, encoded, overwrite_b=True)
 
 
 def plan_to_csv(plan: PartitionPlan) -> str:

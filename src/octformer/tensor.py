@@ -10,14 +10,23 @@ Default precision is 32-bit; gradient checks construct 64-bit tensors.
 Activations take their inputs' dtype (numpy's promotion of the operands),
 and a scalar never promotes: a Python or numpy scalar operand of ``add``,
 ``sub`` or ``mul`` takes the dtype of the tensor operand. Ops write only into
-arrays they allocated themselves, never into an input, so an in-place step
-(``linear``'s bias add, the epilogues of :func:`linear_relu` and
-:func:`linear_add_rows`, the passes of ``gelu``, ``softmax`` and the norms)
-computes the same bits as the expression it replaces. The exception is float32
-``gelu``, whose erf is a rational approximation rather than scipy's (see
-:func:`_gaussian_cdf`); float64 ``gelu`` is scipy's, bit for bit. scipy is
-imported at the first float64 ``gelu``, so float32 programs (``segment`` of a
-float32 checkpoint, ``attend``, ``bench``) never load it.
+arrays they allocated themselves, so an in-place step (``linear``'s bias add,
+the epilogues of :func:`linear_relu` and :func:`linear_add_rows`, the passes of
+``gelu``, ``softmax`` and the norms) computes the same bits as the expression
+it replaces. The exception is float32 ``gelu``, whose erf is a rational
+approximation rather than scipy's (see :func:`_gaussian_cdf`); float64
+``gelu`` is scipy's, bit for bit. scipy is imported at the first float64
+``gelu``, so float32 programs (``segment`` of a float32 checkpoint,
+``attend``, ``bench``) never load it.
+
+An op writes into an input only when its caller opts in and no tape records.
+With ``overwrite_x`` (``overwrite_b`` for :func:`add`) the caller hands over an
+input that it owns and never reads again, such as a conv output, and untaped
+the op writes its result into that input's buffer (:func:`batch_norm`,
+:func:`relu`, :func:`add`, :func:`residual_rows`). Each in-place step is the
+IEEE operation of the expression it replaces, on the same operands, so the
+bits are the same. Under a tape the flag does nothing, because the vjps read
+those inputs.
 
 Layer norm and batch norm are one op, :func:`_normalize`, that differ only in
 where their statistics come from: the last axis, the batch axis, or a batch
@@ -30,7 +39,8 @@ equal blocks of at most about ``MLP_BLOCK_ELEMENTS`` (2^17) elements, so that
 no full-size temporary exists and the bits match the unblocked expression.
 :func:`map_rows` runs a row-wise function over given row blocks (the network's
 attention chunks, sized by the same rule with their own budget) and joins the
-outputs. :func:`gather_rows` and :func:`scatter_rows_add` take the octree's
+outputs; :func:`residual_rows` adds each block's output to the block's input
+rows instead. :func:`gather_rows` and :func:`scatter_rows_add` take the octree's
 int32 indices as they are.
 """
 
@@ -161,6 +171,11 @@ class Tape:
 _ACTIVE: list[Tape] = []
 
 
+def taping() -> bool:
+    """Whether a :class:`Tape` is recording."""
+    return bool(_ACTIVE)
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> None:
     if _ACTIVE:
         _ACTIVE[-1].nodes.append(Node(out, parents, vjp))
@@ -210,8 +225,12 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return a, Tensor(b, a.dtype) if np.isscalar(b) else as_tensor(b)
 
 
-def add(a, b) -> Tensor:
+def add(a, b, overwrite_b: bool = False) -> Tensor:
+    """``a + b``; untaped with ``overwrite_b``, written into b's buffer when
+    a and b have one shape and dtype (the add commutes)."""
     a, b = _operands(a, b)
+    if overwrite_b and not _ACTIVE and a.shape == b.shape and a.dtype == b.dtype:
+        return Tensor(np.add(a.data, b.data, out=b.data))
     out = Tensor(a.data + b.data)
     _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
     return out
@@ -359,8 +378,11 @@ def from_op(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 # nonlinearities and normalizations
 
 
-def relu(x: Tensor) -> Tensor:
+def relu(x: Tensor, overwrite_x: bool = False) -> Tensor:
+    """``max(x, 0)``; untaped with ``overwrite_x``, in x's buffer."""
     x = as_tensor(x)
+    if overwrite_x and not _ACTIVE:
+        return Tensor(np.maximum(x.data, 0.0, out=x.data))
     out = Tensor(np.maximum(x.data, 0.0))
     _record(out, (x,), lambda g: ((g * (x.data > 0)).astype(x.dtype),))
     return out
@@ -447,16 +469,23 @@ def _moments(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
-               var: np.ndarray, axis: int | None) -> Tensor:
+               var: np.ndarray, axis: int | None, overwrite_x: bool = False) -> Tensor:
     """``(x - mu) / sqrt(var + NORM_EPS) * gamma + beta`` as one taped op.
 
     ``axis`` is the axis that ``mu`` and ``var`` were taken over, so the vjp
     runs through them; None marks them as constants (batch norm in eval).
+    Untaped, y is written into xhat's buffer, and with ``overwrite_x`` xhat is
+    x's buffer, so the op allocates no full-size array.
     """
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = x.data - mu
+    taped = bool(_ACTIVE)
+    in_x = overwrite_x and not taped and np.result_type(x.data, mu) == x.dtype
+    xhat = np.subtract(x.data, mu, out=x.data if in_x else None)
     xhat *= inv
-    y = xhat * gamma.data
+    if taped or np.result_type(xhat, gamma.data) != xhat.dtype:
+        y = xhat * gamma.data
+    else:
+        y = np.multiply(xhat, gamma.data, out=xhat)
     y += beta.data
     out = Tensor(y)
 
@@ -502,22 +531,24 @@ class BatchNormState:
         )
 
 
-def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
-    """Normalize (N, C) over the spatial dimension; eval uses stored stats."""
+def batch_norm(x: Tensor, state: BatchNormState, training: bool,
+               overwrite_x: bool = False) -> Tensor:
+    """Normalize (N, C) over the spatial dimension; eval uses stored stats.
+    Untaped with ``overwrite_x``, the result is written into x's buffer."""
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"batch_norm expects (N, C), got {x.shape}")
     if not training:
         return _normalize(x, state.gamma, state.beta,
                           state.running_mean.astype(x.dtype),
-                          state.running_var.astype(x.dtype), None)
+                          state.running_var.astype(x.dtype), None, overwrite_x)
     if x.shape[0] < 2:
         raise NumericError("batch_norm training needs at least 2 rows")
     mu, var = _moments(x.data, 0)
     m = BN_MOMENTUM
     state.running_mean = (1 - m) * state.running_mean + m * mu[0].astype(np.float64)
     state.running_var = (1 - m) * state.running_var + m * var[0].astype(np.float64)
-    return _normalize(x, state.gamma, state.beta, mu, var, 0)
+    return _normalize(x, state.gamma, state.beta, mu, var, 0, overwrite_x)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = -1) -> Tensor:
@@ -650,6 +681,26 @@ def map_rows(fn, x: Tensor, blocks: list[slice]) -> Tensor:
             outs.append(y)
         del y
     return from_op(out, tuple(outs), lambda g: tuple(g[b] for b in blocks))
+
+
+def residual_rows(fn, x: Tensor, blocks: list[slice], overwrite_x: bool = False) -> Tensor:
+    """``add(x, fn(x))`` for an ``fn`` that keeps x's shape and dtype and whose
+    output rows ``blk`` are ``fn`` of x's rows ``blk`` alone, bit for bit, for
+    each of ``blocks`` (contiguous, covering every row).
+
+    Taped, it is that expression. Untaped, ``fn`` runs on each block's rows and
+    x's rows are added to its output in the result as it returns, so only
+    block-sized temporaries exist beyond the result. With ``overwrite_x`` the
+    result is x's own buffer: each block's rows are read before they are
+    written, so no full-size array exists beyond x.
+    """
+    x = as_tensor(x)
+    if _ACTIVE:
+        return add(x, fn(x))
+    out = x.data if overwrite_x else np.empty_like(x.data)
+    for blk in blocks:
+        np.add(x.data[blk], fn(Tensor(x.data[blk])).data, out=out[blk])
+    return Tensor(out)
 
 
 def _rows(x: Tensor, blk: slice) -> Tensor:

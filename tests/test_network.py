@@ -771,6 +771,67 @@ def test_chunked_attention_gradcheck(monkeypatch, d):
     gradcheck(build, [(n, c), (c, c), (c, c), (c, c), (c, c), (n, c)])
 
 
+def _untaped_peak(fn):
+    """``fn()`` and its tracemalloc peak: what it allocates, not what existed
+    before."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_without_tape_keeps_one_full_size_array(monkeypatch):
+    """Untaped, the CPE's norm and residual run in place on its conv's output,
+    and each branch's norm and residual run per row block into that array,
+    with the taped bits: beyond the parameters and the input, a block never
+    holds two (N, C) arrays."""
+    from test_octconv import full_grid_tree
+
+    # 16 attention chunks; the MLP runs in 32 row blocks at the default budget
+    monkeypatch.setattr(network, "ATTN_CHUNK_ELEMENTS", 1 << 17)
+    tree, c = full_grid_tree(5), 32
+    n = tree.node_count(5)
+    assert len(network.attention_chunks(n, 32, 1, 2)) == 16
+    r = np.random.default_rng(33)
+    block = BlockParams.init(c, 2, 4, 1, r)
+    block.cpe.kernel.data = r.normal(size=(27, c)).astype(np.float32)
+    x = T.Tensor(r.normal(size=(n, c)), np.float32)
+    with T.Tape():  # the taped ops write into no input; this also builds the tap tables
+        want = octformer_block(x, tree, 5, block, 32, training=False).data
+    got, peak = _untaped_peak(lambda: octformer_block(x, tree, 5, block, 32,
+                                                      training=False).data)
+    assert peak < 2 * n * c * 4
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fpn_head_without_tape_keeps_one_full_size_array():
+    """Untaped, the head's conv, hidden layer and classifier run per block of
+    output rows, with the taped bits: beyond the parameters and the pyramid,
+    the head never holds two (N, fpn_channels) arrays of the finest depth."""
+    from test_octconv import full_grid_tree
+
+    tree, f = full_grid_tree(5), 64  # 32,768 rows: four head blocks
+    n = tree.node_count(5)
+    cfg = NetworkConfig(channels=16, blocks=(1, 1, 1, 1), num_classes=2,
+                        fpn_channels=f, head_hidden=f)
+    head = init_model(cfg, seed=4).seg_head
+    r = np.random.default_rng(34)
+    pyramid = network.FeaturePyramid(
+        [T.Tensor(r.normal(size=(tree.node_count(5 - i), c)), np.float32)
+         for i, c in enumerate(cfg.stage_channels)], [5, 4, 3, 2])
+    with T.Tape():  # this also builds the tap table
+        want = fpn_segmentation_head(pyramid, tree, head).data
+    assert all(lvl is not None for lvl in pyramid.levels)
+    got, peak = _untaped_peak(lambda: fpn_segmentation_head(pyramid, tree, head).data)
+    assert peak < 2 * n * f * 4
+    assert got.tobytes() == want.tobytes()
+    assert pyramid.levels == [None] * 4  # spent
+
+
 def test_chunked_attention_without_tape_keeps_no_full_score_array():
     import tracemalloc
 

@@ -71,10 +71,13 @@ def test_segment_logits_match_the_naive_network(blocks, training):
 
 
 def test_small_chunks_and_blocks_match_the_naive_network(monkeypatch):
-    """Several attention chunks, MLP row blocks and conv tap blocks per layer."""
+    """Several attention chunks, MLP row blocks, conv tap blocks and head
+    blocks per layer."""
     monkeypatch.setattr(network, "ATTN_CHUNK_ELEMENTS", 2 * 1 * 2 * 8 * 8)
     monkeypatch.setattr(T, "MLP_BLOCK_ELEMENTS", 64 * 16)
+    monkeypatch.setattr(network, "HEAD_BLOCK_ROWS", 64)
     stage0 = build_octree(two_sphere_cloud(500, 1)).node_count(5)
     assert len(network.attention_chunks(stage0, 8, 2, 1)) > 3
     assert len(T.row_blocks(stage0, 4 * 16)) > 3
+    assert len(T.row_blocks(stage0, 1, network.HEAD_BLOCK_ROWS)) > 3
     assert_matches_oracle((2, 2, 2, 2), training=False, seed=1)

@@ -191,6 +191,28 @@ def test_conv_without_tape_keeps_no_full_tap_temporary(dtype, depthwise):
     assert peak - out.data.nbytes < n_t * c * np.dtype(dtype).itemsize
 
 
+def test_embedding_without_tape_keeps_one_full_size_array():
+    """Untaped, each module's norm and ReLU run in place on its conv's output,
+    with the taped bits: beyond the parameters and the input, the stack never
+    holds two arrays of the first conv's output size."""
+    import tracemalloc
+
+    tree, c = full_grid_tree(5), 32
+    rng = np.random.default_rng(43)
+    params = EmbeddingParams.init(3, c, rng)
+    x = T.Tensor(rng.normal(size=(tree.node_count(5), 3)).astype(np.float32))
+    with T.Tape():  # the taped ops write into no input; this also builds the tap tables
+        want = embedding_stack(x, tree, 5, params, training=False).data
+    tracemalloc.start()
+    try:
+        got = embedding_stack(x, tree, 5, params, training=False).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * tree.node_count(5) * c * 4
+    assert got.tobytes() == want.tobytes()
+
+
 def test_embedding_structure():
     rng = np.random.default_rng(9)
     pos = rng.random((500, 3))
