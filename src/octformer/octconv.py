@@ -82,19 +82,20 @@ def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> TapTab
     return octree.tap_table(depth, kernel, stride)
 
 
-def _conv_rows(xd: np.ndarray, pairs, w: np.ndarray, depthwise: bool,
-               out_rows: slice) -> np.ndarray:
-    """Output rows ``out_rows`` of the conv: each tap's pairs with those output
-    rows (a ``searchsorted`` range, as a tap's rows are sorted), in
-    :func:`row_blocks` of its products."""
-    start, stop = out_rows.start, out_rows.stop
+def _conv_rows(xd: np.ndarray, pairs, w: np.ndarray, depthwise: bool, n_out: int,
+               part: slice | None = None) -> np.ndarray:
+    """Output rows ``part`` (by default all ``n_out``) of the conv, each tap's
+    pairs in :func:`row_blocks` of its products. A tap's rows are sorted, so
+    its pairs with rows in ``part`` are a ``searchsorted`` range."""
+    start, stop = (0, n_out) if part is None else (part.start, part.stop)
     out = np.zeros((stop - start, w.shape[-1]), dtype=np.result_type(xd, w))
     for (rows, cols), wt in zip(pairs, w):
-        lo, hi = np.searchsorted(rows, (start, stop))
-        rows, cols = rows[lo:hi], cols[lo:hi]
+        if part is not None:
+            lo, hi = np.searchsorted(rows, (start, stop))
+            rows, cols = rows[lo:hi] - start, cols[lo:hi]
         for blk in row_blocks(rows.shape[0], out.shape[1]):
             r, c = rows[blk], cols[blk]
-            out[r - start] += xd[c] * wt if depthwise else xd[c] @ wt
+            out[r] += xd[c] * wt if depthwise else xd[c] @ wt
     return out
 
 
@@ -112,12 +113,12 @@ def gathered_conv(x: Tensor, idx: TapTable, weights: Tensor, depthwise: bool,
     if then is not None and not taping():
         out = None
         for blk in blocks or [slice(0, idx.shape[0])]:
-            y = then(Tensor(_conv_rows(xd, pairs, w, depthwise, blk))).data
+            y = then(Tensor(_conv_rows(xd, pairs, w, depthwise, idx.shape[0], blk))).data
             if out is None:
                 out = np.empty((idx.shape[0],) + y.shape[1:], y.dtype)
             out[blk] = y
         return Tensor(out)
-    out = _conv_rows(xd, pairs, w, depthwise, slice(0, idx.shape[0]))
+    out = _conv_rows(xd, pairs, w, depthwise, idx.shape[0])
 
     def vjp(g):
         gx = np.zeros(xd.shape, dtype=g.dtype)
