@@ -57,14 +57,6 @@ class CubicPartition:
     window_size: int
     buckets: list[tuple[tuple[int, int, int], np.ndarray]]
 
-    def counts(self) -> np.ndarray:
-        return np.array([idx.size for _, idx in self.buckets])
-
-    def stats(self) -> dict:
-        c = self.counts()
-        return {"buckets": int(c.size), "mean": float(c.mean()),
-                "max": int(c.max()), "min": int(c.min())}
-
 
 def cubic_partition(octree: Octree, depth: int, window_size: int) -> CubicPartition:
     """Group nodes by floor-division of their coordinates by window_size."""

@@ -131,13 +131,3 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
                          r.trials])
     return buf.getvalue()
 
-
-def linear_fit_r2(ns: np.ndarray, times: np.ndarray) -> float:
-    """R^2 of an affine fit time ~ a*n + b."""
-    ns = np.asarray(ns, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    coeffs = np.polyfit(ns, times, deg=1)
-    pred = np.polyval(coeffs, ns)
-    ss_res = ((times - pred) ** 2).sum()
-    ss_tot = ((times - times.mean()) ** 2).sum()
-    return float(1.0 - ss_res / ss_tot) if ss_tot > 0 else 1.0

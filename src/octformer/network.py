@@ -87,6 +87,8 @@ class NetworkConfig:
             raise ConfigError("mlp_ratio and head_divisor must be >= 1")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        if self.fpn_channels < 1 or self.head_hidden < 1:
+            raise ConfigError("fpn_channels and head_hidden must be >= 1")
         unknown = set(self.features) - {"position", "color", "normal"}
         if unknown:
             raise ConfigError(f"unknown features {sorted(unknown)}")
@@ -215,24 +217,16 @@ def _module_params(config: NetworkConfig, rng, dtype=None):
     yield LinearParams.init(widths[-1], config.num_classes, rng, dtype=dtype)
 
 
-def _assemble_backbone(config: NetworkConfig, modules) -> BackboneParams:
+def _assemble_model(config: NetworkConfig, modules) -> ModelParams:
+    modules = iter(modules)
     embedding = next(modules)
     stages = [StageParams([next(modules) for _ in range(n)],
                           next(modules) if i < 3 else None)
               for i, n in enumerate(config.blocks)]
-    return BackboneParams(embedding, stages)
-
-
-def _assemble_model(config: NetworkConfig, modules) -> ModelParams:
-    modules = iter(modules)
-    backbone = _assemble_backbone(config, modules)
     seg = SegHeadParams([next(modules) for _ in config.stage_channels],
                         next(modules), next(modules), next(modules))
-    return ModelParams(config, backbone, seg, ClsHeadParams(next(modules)))
-
-
-def init_backbone(config: NetworkConfig, rng, dtype=None) -> BackboneParams:
-    return _assemble_backbone(config, _module_params(config, rng, dtype))
+    return ModelParams(config, BackboneParams(embedding, stages), seg,
+                       ClsHeadParams(next(modules)))
 
 
 def init_model(config: NetworkConfig, seed: int = 0, dtype=None) -> ModelParams:
@@ -261,11 +255,6 @@ def named_tensors(obj, prefix: str = ""):
 
 def trainable_parameters(obj) -> list[tuple[str, Tensor]]:
     return [(n, t) for n, t, kind in named_tensors(obj) if kind == "param"]
-
-
-def count_parameters(obj) -> int:
-    """Total trainable entries; buffers (running stats) excluded."""
-    return sum(t.size for _, t in trainable_parameters(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +362,6 @@ def backbone_apply(octree: Octree, feats: Tensor, config: NetworkConfig,
     return FeaturePyramid(levels, depths)
 
 
-def backbone_forward(cloud: QuantizedCloud, config: NetworkConfig,
-                     params: BackboneParams, training: bool = False) -> FeaturePyramid:
-    octree = build_octree(cloud)
-    feats = init_leaf_features(octree, cloud, **config.feature_flags())
-    return backbone_apply(octree, feats, config, params, training)
-
-
 def point_ancestor_index(octree: Octree, target_depth: int) -> np.ndarray:
     """For each input point, the index of its ancestor node at target_depth."""
     idx = octree.point_assignment
@@ -396,7 +378,7 @@ HEAD_BLOCK_ROWS = 1 << 13
 
 
 def fpn_segmentation_head(pyramid: FeaturePyramid, octree: Octree,
-                          head: SegHeadParams, training: bool = False) -> Tensor:
+                          head: SegHeadParams) -> Tensor:
     """Top-down merge of the pyramid, k3 conv, then an MLP per finest node,
     whose logits every point inside that node takes.
 
@@ -448,7 +430,7 @@ def segment_logits(cloud: QuantizedCloud, model: ModelParams,
     feats = init_leaf_features(octree, cloud, **model.config.feature_flags())
     feats = feats.astype(model.backbone.embedding.modules[0].conv.weights.dtype)
     pyramid = backbone_apply(octree, feats, model.config, model.backbone, training)
-    return fpn_segmentation_head(pyramid, octree, model.seg_head, training)
+    return fpn_segmentation_head(pyramid, octree, model.seg_head)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +467,9 @@ def load_checkpoint(path: str) -> ModelParams:
     summed module by module, so a config that wants more than the file holds
     stops early); then each record's length, dtype tag, name, shape and
     finite values, and that no record is missing. Nothing is drawn from an
-    RNG."""
+    RNG. The config JSON gets the run config's key and value type checks."""
+    from .config import _from_dict  # config imports this module
+
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -507,10 +491,8 @@ def load_checkpoint(path: str) -> ModelParams:
             raise DataError(f"unsupported checkpoint version {version}")
         cfg_bytes = read(*read(4, "<I"))  # length-prefixed JSON
         try:
-            cfg = json.loads(cfg_bytes.decode())
-            config = NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                      for k, v in cfg.items()})
-        except (ValueError, TypeError, AttributeError) as e:
+            config = _from_dict(NetworkConfig, json.loads(cfg_bytes.decode()), "config")
+        except (ValueError, RecursionError) as e:
             raise DataError(f"{path}: bad checkpoint config ({e})") from None
         modules, need = [], f.tell()
         for module in _module_params(config, rng=None):
@@ -665,8 +647,7 @@ def _dataset_metrics(model: ModelParams, prepared):
     for octree, feats, labels in prepared:
         pyramid = backbone_apply(octree, feats, model.config, model.backbone,
                                  training=False)
-        logits = fpn_segmentation_head(pyramid, octree, model.seg_head,
-                                       training=False)
+        logits = fpn_segmentation_head(pyramid, octree, model.seg_head)
         loss = cross_entropy(logits, labels, IGNORE_INDEX)
         valid = labels != IGNORE_INDEX
         pred = logits.data.argmax(axis=1)
@@ -713,8 +694,7 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
             with Tape() as tape:
                 pyramid = backbone_apply(octree, feats, model.config,
                                          model.backbone, training=True)
-                logits = fpn_segmentation_head(pyramid, octree, model.seg_head,
-                                               training=True)
+                logits = fpn_segmentation_head(pyramid, octree, model.seg_head)
                 loss = cross_entropy(logits, labels, IGNORE_INDEX)
             if not np.isfinite(loss.item()):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)

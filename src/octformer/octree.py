@@ -8,7 +8,6 @@ the result is a pure function of the occupied cell set.
 
 from __future__ import annotations
 
-import io
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -279,29 +278,3 @@ def dump_octree(octree: Octree, path: str) -> None:
             f.write(struct.pack("<Q", keys.shape[0]))
             f.write(keys.astype("<u8").tobytes())
 
-
-def load_octree_keys(path: str) -> tuple[int, list[np.ndarray | None]]:
-    """Read a binary octree dump; returns (depth, keys-by-depth)."""
-    with open(path, "rb") as f:
-        buf = io.BytesIO(f.read())
-
-    def read(n: int, fmt: str | None = None):
-        """Exactly ``n`` bytes, unpacked with ``fmt`` if given."""
-        raw = buf.read(n)
-        if len(raw) != n:
-            raise DataError(f"{path}: truncated octree dump")
-        return struct.unpack(fmt, raw) if fmt else raw
-
-    magic = buf.read(4)
-    if magic != OCTREE_MAGIC:
-        raise DataError(f"bad octree magic {magic!r}")
-    version, depth = read(8, "<II")
-    if version != OCTREE_VERSION:
-        raise DataError(f"unsupported octree version {version}")
-    if not 1 <= depth <= morton.MAX_DEPTH:
-        raise DataError(f"{path}: octree depth {depth} out of [1, {morton.MAX_DEPTH}]")
-    keys: list[np.ndarray | None] = [None] * (depth + 1)
-    for level in range(1, depth + 1):
-        (count,) = read(8, "<Q")
-        keys[level] = np.frombuffer(read(8 * count), dtype="<u8").astype(np.uint64)
-    return depth, keys

@@ -353,18 +353,8 @@ def scatter_rows_add(y: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
     idx = np.asarray(idx)
     if idx.size and idx.max() >= num_rows:
         raise IndexError(f"scatter index {int(idx.max())} >= {num_rows}")
-    present = idx >= 0
-    out_data = np.zeros((num_rows,) + y.shape[1:], dtype=y.dtype)
-    np.add.at(out_data, idx[present], y.data[present])
-    out = Tensor(out_data)
-
-    def vjp(g):
-        gy = g[np.clip(idx, 0, None)].copy()
-        gy[~present] = 0.0
-        return (gy,)
-
-    _record(out, (y,), vjp)
-    return out
+    return from_op(_scatter_rows(y.data, idx, (num_rows,) + y.shape[1:]), (y,),
+                   lambda g: (_gathered(g, idx),))
 
 
 def from_op(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (loops, dense arrays, 64-bit) and
 shares no code with the library paths it checks. The dense attention and
 convolution references live in ``octformer.selftest``, which the built-in
-``selftest`` command also runs, and are re-exported here.
+``selftest`` command also runs, and are re-exported here. The last section
+holds small helpers that only the tests need, built on the public surface.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from octformer.morton import MAX_DEPTH
+from octformer.network import backbone_apply, trainable_parameters
+from octformer.octree import QuantizedCloud, build_octree, init_leaf_features
 from octformer.selftest import dense_conv3d, dense_masked_attention  # noqa: F401
 
 
@@ -281,8 +284,10 @@ def _naive_gelu(x: np.ndarray) -> np.ndarray:
 
 def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
     """Per-point logits of the segmentation network at float64, from the
-    paper's layout: an embedding of five conv/BN/ReLU modules (kernels
-    3,2,3,2,3, strides 1,2,1,2,1) takes the leaf features two depths up; four
+    paper's layout: leaf features are pooled up to the config's
+    ``embed_depth`` (each node the mean of its children's rows, not of its
+    points), then an embedding of five conv/BN/ReLU modules (kernels
+    3,2,3,2,3, strides 1,2,1,2,1) takes them two depths up; four
     stages of blocks (CPE, then pre-norm windowed attention and pre-norm GELU
     MLP, each with a residual) run one depth apart, joined by kernel-2
     stride-2 conv/BN downsamples; block b of a stage has dilation 1 when b is
@@ -296,15 +301,14 @@ def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
     uses each batch norm's batch statistics, as the program does.
     """
     config = model.config
-    if config.embed_depth not in (None, cloud.depth):
-        raise ValueError("the oracle embeds at the octree depth")
     depth = cloud.depth
+    embed_depth = depth if config.embed_depth is None else config.embed_depth
     scaled = cloud.positions * float(1 << depth)
     grid = np.minimum(np.floor(scaled), (1 << depth) - 1)  # a point at 1 - ulp
     cells = [tuple(int(v) for v in c) for c in grid]
     nodes = {level: _Nodes([(x >> (depth - level), y >> (depth - level),
                              z >> (depth - level)) for x, y, z in cells], level)
-             for level in range(depth - 5, depth + 1)}
+             for level in range(embed_depth - 5, depth + 1)}
 
     # leaf features: per leaf, the mean of (offset from the voxel centre, in
     # voxel units), colour and normal, in that order, for the enabled ones
@@ -325,6 +329,16 @@ def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
     x /= counts[:, None]
 
     level = depth
+    while level > embed_depth:  # each parent (cell >> 1) the mean of its children
+        children, level = nodes[level], level - 1
+        sums = np.zeros((len(nodes[level].cells), x.shape[1]))
+        counts = np.zeros(len(sums))
+        for (cx, cy, cz), row in zip(children.cells, x):
+            parent = nodes[level].rank[(cx >> 1, cy >> 1, cz >> 1)]
+            sums[parent] += row
+            counts[parent] += 1
+        x = sums / counts[:, None]
+
     for kernel, stride, mod in zip((3, 2, 3, 2, 3), (1, 2, 1, 2, 1),
                                    model.backbone.embedding.modules):
         src, level = nodes[level], level - (stride == 2)
@@ -368,3 +382,37 @@ def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
     shift = depth - above.depth
     return np.stack([u[above.rank[(x >> shift, y >> shift, z >> shift)]]
                      for x, y, z in cells])
+
+
+# -- test helpers on the public surface ----------------------------------------
+
+def full_grid_tree(depth: int):
+    """The octree of one point at the centre of every cell at ``depth``."""
+    lim = 1 << depth
+    g = (np.arange(lim) + 0.5) / lim
+    xs, ys, zs = np.meshgrid(g, g, g, indexing="ij")
+    pos = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+    return build_octree(QuantizedCloud(pos, depth))
+
+
+def backbone_forward(cloud, config, params, training: bool = False):
+    """The feature pyramid of ``cloud``: octree, leaf features, backbone."""
+    octree = build_octree(cloud)
+    feats = init_leaf_features(octree, cloud, **config.feature_flags())
+    return backbone_apply(octree, feats, config, params, training)
+
+
+def count_parameters(obj) -> int:
+    """Total trainable entries; buffers (running stats) excluded."""
+    return sum(t.size for _, t in trainable_parameters(obj))
+
+
+def linear_fit_r2(ns: np.ndarray, times: np.ndarray) -> float:
+    """R^2 of an affine fit time ~ a*n + b."""
+    ns = np.asarray(ns, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    coeffs = np.polyfit(ns, times, deg=1)
+    pred = np.polyval(coeffs, ns)
+    ss_res = ((times - pred) ** 2).sum()
+    ss_tot = ((times - times.mean()) ** 2).sum()
+    return float(1.0 - ss_res / ss_tot) if ss_tot > 0 else 1.0

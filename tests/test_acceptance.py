@@ -11,14 +11,13 @@ import numpy as np
 
 from octformer import cli
 from octformer import tensor as T
-from octformer.bench import BenchSettings, bench_attention, linear_fit_r2
+from octformer.bench import BenchSettings, bench_attention
 from octformer.experiments import run_cpe_ablation
 from octformer.network import (
     BlockParams,
     NetworkConfig,
     OptimSettings,
-    init_backbone,
-    count_parameters,
+    init_model,
     octformer_block,
     train_toy,
 )
@@ -28,10 +27,13 @@ from octformer.partition import AttentionParams, make_plan, windowed_attention
 from octformer.synthetic import two_spheres_dataset
 
 from oracles import (
+    count_parameters,
     dense_conv3d,
     dense_masked_attention,
+    full_grid_tree,
     gradcheck,
     interleave2d,
+    linear_fit_r2,
 )
 
 
@@ -40,14 +42,6 @@ def report(criterion: int, name: str, ok: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {criterion:2d} [{name}]: {status}{suffix}")
     assert ok, f"criterion {criterion} {name}: {detail}"
-
-
-def full_grid_tree(depth):
-    lim = 1 << depth
-    g = (np.arange(lim) + 0.5) / lim
-    xs, ys, zs = np.meshgrid(g, g, g, indexing="ij")
-    pos = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-    return build_octree(QuantizedCloud(pos, depth))
 
 
 # -- 1: partition goldens ---------------------------------------------------------
@@ -355,7 +349,7 @@ def test_criterion_7_structural_constants(capsys):
     ok &= base.stage_channels == (96, 192, 384, 384)
 
     # pyramid depths span S/4 .. S/32 (embed depth minus 2 .. minus 5)
-    from octformer.network import backbone_apply, init_model
+    from octformer.network import backbone_apply
     from octformer.octree import init_leaf_features
     rng = np.random.default_rng(7)
     cloud = QuantizedCloud(rng.random((800, 3)), 7)
@@ -371,8 +365,7 @@ def test_criterion_7_structural_constants(capsys):
 
     counts = {}
     for name, target in (("small", 18e6), ("base", 39e6), ("large", 156e6)):
-        backbone = init_backbone(NetworkConfig.preset(name),
-                                 np.random.default_rng(0))
+        backbone = init_model(NetworkConfig.preset(name), seed=0).backbone
         counts[name] = count_parameters(backbone)
         ok &= abs(counts[name] - target) / target < 0.15
     elapsed = time.perf_counter() - t0

@@ -168,6 +168,41 @@ def test_cli_segment_huge_blocks_checkpoint_exits_2_fast(tmp_path, capsys):
     assert err.count("\n") == 1 and "truncated checkpoint" in err
 
 
+@pytest.fixture(scope="module")
+def colour_segment_files(tmp_path_factory):
+    """A toy position+colour checkpoint's bytes and a 300-point coloured cloud
+    that it segments (exit 0), in a module-wide dir."""
+    from octformer.network import NetworkConfig, init_model, save_checkpoint
+
+    d = tmp_path_factory.mktemp("ofck-colour")
+    config = NetworkConfig(channels=16, blocks=(1, 1, 1, 1), point_number=8,
+                           num_classes=2, octree_depth=7,
+                           features=("position", "color"), fpn_channels=8, head_hidden=8)
+    save_checkpoint(str(d / "m.ofck"), init_model(config, seed=0))
+    rows = np.random.default_rng(4).random((300, 6))
+    (d / "cloud.xyz").write_text(
+        "\n".join(" ".join(f"{v:.6f}" for v in r) for r in rows) + "\n")
+    blob = (d / "m.ofck").read_bytes()
+    assert _segment_with(d, blob) == (cli.EXIT_OK, "")
+    return d, blob
+
+
+@pytest.mark.parametrize("key, value", [
+    ("channels", True), ("octree_depth", 7.0), ("num_classes", 2.5), ("mlp_ratio", 1.5),
+    ("fpn_channels", -3), ("blocks", [1, 1, 1, 1.5])])
+def test_cli_segment_malformed_checkpoint_config_exits_2_with_one_line(
+        colour_segment_files, key, value):
+    d, blob = colour_segment_files
+    cfg_len = int.from_bytes(blob[8:12], "little")
+    cfg = json.loads(blob[12:12 + cfg_len])
+    cfg[key] = value
+    cfg_bytes = json.dumps(cfg).encode()
+    code, err = _segment_with(d, blob[:8] + len(cfg_bytes).to_bytes(4, "little")
+                              + cfg_bytes + blob[12 + cfg_len:])
+    assert code == cli.EXIT_DATA
+    assert err.count("\n") == 1 and "bad checkpoint config" in err and key in err
+
+
 def _record_fields(blob: bytes) -> list[tuple[int, int]]:
     """(name-length offset, ndim offset) of every record of an OFCK file."""
     off = 12 + int.from_bytes(blob[8:12], "little")

@@ -13,11 +13,8 @@ from octformer.network import (
     NetworkConfig,
     OptimSettings,
     backbone_apply,
-    backbone_forward,
     classification_head,
-    count_parameters,
     fpn_segmentation_head,
-    init_backbone,
     init_model,
     load_checkpoint,
     named_tensors,
@@ -33,7 +30,15 @@ from octformer.octree import QuantizedCloud, build_octree, init_leaf_features
 from octformer.partition import AttentionParams, make_plan, windowed_attention
 from octformer.synthetic import two_spheres_dataset
 
-from oracles import finite_difference_filtered, gradcheck, grads_close, relative_error
+from oracles import (
+    backbone_forward,
+    count_parameters,
+    finite_difference_filtered,
+    full_grid_tree,
+    gradcheck,
+    grads_close,
+    relative_error,
+)
 
 
 TINY = dict(channels=16, blocks=(1, 1, 1, 1), point_number=8, dilation=2,
@@ -76,10 +81,9 @@ def test_structural_constants():
 
 
 def test_parameter_counts_match_reference_sizes():
-    rng = np.random.default_rng(0)
     counts = {}
     for name, target in (("small", 18e6), ("base", 39e6), ("large", 156e6)):
-        backbone = init_backbone(NetworkConfig.preset(name), rng)
+        backbone = init_model(NetworkConfig.preset(name), seed=0).backbone
         counts[name] = count_parameters(backbone)
         assert abs(counts[name] - target) / target < 0.15
     assert counts["small"] < counts["base"] < counts["large"]
@@ -789,8 +793,6 @@ def test_block_without_tape_keeps_one_full_size_array(monkeypatch):
     and each branch's norm and residual run per row block into that array,
     with the taped bits: beyond the parameters and the input, a block never
     holds two (N, C) arrays."""
-    from test_octconv import full_grid_tree
-
     # 16 attention chunks; the MLP runs in 32 row blocks at the default budget
     monkeypatch.setattr(network, "ATTN_CHUNK_ELEMENTS", 1 << 17)
     tree, c = full_grid_tree(5), 32
@@ -812,8 +814,6 @@ def test_fpn_head_without_tape_keeps_one_full_size_array():
     """Untaped, the head's conv, hidden layer and classifier run per block of
     output rows, with the taped bits: beyond the parameters and the pyramid,
     the head never holds two (N, fpn_channels) arrays of the finest depth."""
-    from test_octconv import full_grid_tree
-
     tree, f = full_grid_tree(5), 64  # 32,768 rows: four head blocks
     n = tree.node_count(5)
     cfg = NetworkConfig(channels=16, blocks=(1, 1, 1, 1), num_classes=2,

@@ -14,15 +14,7 @@ from octformer.octconv import (
 )
 from octformer.octree import QuantizedCloud, build_octree
 
-from oracles import dense_conv3d, finite_difference, relative_error
-
-
-def full_grid_tree(depth):
-    lim = 1 << depth
-    g = (np.arange(lim) + 0.5) / lim
-    xs, ys, zs = np.meshgrid(g, g, g, indexing="ij")
-    pos = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
-    return build_octree(QuantizedCloud(pos, depth))
+from oracles import dense_conv3d, finite_difference, full_grid_tree, relative_error
 
 
 def grid_from_features(tree, depth, x):

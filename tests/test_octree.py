@@ -1,5 +1,4 @@
 import itertools
-import struct
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from octformer.octree import (
     filter_and_pad_count,
     init_leaf_features,
     kernel_offsets,
-    load_octree_keys,
 )
 
 from oracles import groupby_cell_mean
@@ -286,36 +284,16 @@ def test_octree_dump_round_trip(tmp_path):
     tree = build_octree(cloud)
     path = tmp_path / "tree.octf"
     dump_octree(tree, str(path))
-    depth, keys = load_octree_keys(str(path))
-    assert depth == 5
-    for level in range(1, 6):
-        assert np.array_equal(keys[level], tree.keys[level])
     raw = path.read_bytes()
     assert raw[:4] == b"OCTF"
-    # header: magic, version u32, depth u32, then count u64 of depth 1
+    # header: magic, version u32, depth u32; then per depth a u64 count and its keys
     assert int.from_bytes(raw[4:8], "little") == 1
     assert int.from_bytes(raw[8:12], "little") == 5
-    assert int.from_bytes(raw[12:20], "little") == tree.node_count(1)
-
-
-@pytest.mark.parametrize("cut", ["magic", "header", "count", "keys", "level-2 count",
-                                 "last byte"])
-def test_load_octree_keys_truncated_is_data_error(tmp_path, cut):
-    tree = build_octree(random_cloud(np.random.default_rng(11), n=100, depth=4))
-    path = tmp_path / "tree.octf"
-    dump_octree(tree, str(path))
-    raw = path.read_bytes()
-    level2 = 20 + 8 * tree.node_count(1)
-    size = {"magic": 2, "header": 6, "count": 16, "keys": 25,
-            "level-2 count": level2 + 3, "last byte": len(raw) - 1}[cut]
-    path.write_bytes(raw[:size])
-    with pytest.raises(DataError):
-        load_octree_keys(str(path))
-
-
-def test_load_octree_keys_rejects_bad_depth(tmp_path):
-    path = tmp_path / "tree.octf"
-    for depth in (0, 22, 2**32 - 1):
-        path.write_bytes(b"OCTF" + struct.pack("<II", 1, depth))
-        with pytest.raises(DataError, match="depth"):
-            load_octree_keys(str(path))
+    at = 12
+    for level in range(1, 6):
+        count = int.from_bytes(raw[at:at + 8], "little")
+        assert count == tree.node_count(level)
+        keys = np.frombuffer(raw, dtype="<u8", count=count, offset=at + 8)
+        assert np.array_equal(keys, tree.keys[level])
+        at += 8 + 8 * count
+    assert at == len(raw)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from octformer.bench import BenchSettings, bench_attention, linear_fit_r2, rows_to_csv
+from octformer.bench import BenchSettings, bench_attention, rows_to_csv
 from octformer.errors import ConfigError
 from octformer.octree import build_octree
 from octformer.synthetic import (
@@ -11,6 +11,8 @@ from octformer.synthetic import (
     surface_depth,
     two_spheres_dataset,
 )
+
+from oracles import linear_fit_r2
 
 
 def test_surface_cells_exact_count_and_sorted():
