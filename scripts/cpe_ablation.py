@@ -37,7 +37,7 @@ def main() -> int:
     print(f"{'variant':<14} {'train acc':>10} {'train loss':>12}")
     for key in ("with_cpe", "without_cpe"):
         r = res[key]
-        print(f"{key:<14} {r.accuracy:>10.4f} {r.loss:>12.6f}")
+        print(f"{key:<14} {r.final_accuracy:>10.4f} {r.final_loss:>12.6f}")
     return 0
 
 

@@ -24,8 +24,9 @@ from .baselines import (
     knn_sliding_attention,
 )
 from .errors import ConfigError
+from .network import chunked_attention
 from .octree import build_octree
-from .partition import AttentionParams, make_plan, windowed_attention
+from .partition import AttentionParams
 from .synthetic import cloud_from_cells, surface_cells
 from .tensor import Tensor
 
@@ -84,8 +85,7 @@ def _make_runner(variant: str, n: int, cfg: BenchSettings):
 
     if variant == "octree":
         def run():
-            plan = make_plan(n, cfg.point_number, 1)
-            return windowed_attention(x, plan, params)
+            return chunked_attention(x, cfg.point_number, 1, params)
     elif variant == "cubic":
         def run():
             part = cubic_partition(octree, depth, cfg.cubic_window)

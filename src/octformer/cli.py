@@ -126,6 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path`` if one is given, else to stdout."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_build_octree(args) -> int:
     from .octree import build_octree, dump_octree
     from .pointcloud import load_point_cloud
@@ -141,12 +150,7 @@ def _cmd_build_octree(args) -> int:
 def _cmd_partition(args) -> int:
     from .partition import make_plan, plan_to_csv
 
-    csv_text = plan_to_csv(make_plan(args.n, args.k, args.d))
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_output(plan_to_csv(make_plan(args.n, args.k, args.d)), args.csv)
     return EXIT_OK
 
 
@@ -189,12 +193,7 @@ def _cmd_train_toy(args) -> int:
     lines = ["step,lr,loss,accuracy"]
     lines += [f"{r['step']},{r['lr']:.6e},{r['loss']:.6e},{r['accuracy']:.6f}"
               for r in result.records]
-    curve = "\n".join(lines) + "\n"
-    if run.outputs.loss_curve:
-        with open(run.outputs.loss_curve, "w") as f:
-            f.write(curve)
-    else:
-        sys.stdout.write(curve)
+    _write_output("\n".join(lines) + "\n", run.outputs.loss_curve)
     if run.outputs.checkpoint:
         save_checkpoint(run.outputs.checkpoint, result.model)
     print(f"initial_loss {result.initial_loss:.6f} final_loss "
@@ -210,12 +209,7 @@ def _cmd_segment(args) -> int:
     cloud = load_point_cloud(args.input, model.config.octree_depth, args.scale)
     logits = segment_logits(cloud, model, training=False)
     labels = logits.data.argmax(axis=1)
-    text = "\n".join(str(int(v)) for v in labels) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output("\n".join(str(int(v)) for v in labels) + "\n", args.out)
     return EXIT_OK
 
 
@@ -227,12 +221,7 @@ def _cmd_bench(args) -> int:
     rows = []
     for variant in run.bench.variants:
         rows.extend(bench_attention(variant, run.bench))
-    csv_text = rows_to_csv(rows)
-    if run.outputs.bench_csv:
-        with open(run.outputs.bench_csv, "w") as f:
-            f.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_output(rows_to_csv(rows), run.outputs.bench_csv)
     return EXIT_OK
 
 

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingError
 from .network import (
-    AdamW,
     BlockParams,
     LabeledCloud,
     OptimSettings,
+    TrainResult,
+    fit,
     octformer_block,
     trainable_parameters,
 )
 from .octree import build_octree, init_leaf_features
-from .tensor import LinearParams, Tape, Tensor, backward, cross_entropy, gather_rows, linear
+from .tensor import LinearParams, Tensor, gather_rows, linear
 
 
 @dataclass
@@ -62,37 +62,17 @@ def block_stack_logits(params: BlockStackParams, octree, feats: Tensor,
     return gather_rows(node_logits, octree.point_assignment)
 
 
-@dataclass
-class AblationResult:
-    accuracy: float
-    loss: float
-    records: list[dict]
-
-
 def train_block_stack(sample: LabeledCloud, params: BlockStackParams,
-                      point_number: int, settings: OptimSettings) -> AblationResult:
+                      point_number: int, settings: OptimSettings) -> TrainResult:
     octree = build_octree(sample.cloud)
     feats = init_leaf_features(octree, sample.cloud, use_color=True,
                                use_position=False)
-    named = trainable_parameters(params)
-    opt = AdamW(named, settings)
-    records = []
-    for step in range(settings.steps):
-        with Tape() as tape:
-            logits = block_stack_logits(params, octree, feats, point_number,
-                                        training=True)
-            loss = cross_entropy(logits, sample.labels)
-        if not np.isfinite(loss.item()):
-            raise TrainingError(f"non-finite loss at step {step}", step=step)
-        backward(tape, loss)
-        opt.step([tape.grad(p) for _, p in named], opt.lr_at(step))
-        records.append({"step": step, "loss": loss.item()})
 
-    logits = block_stack_logits(params, octree, feats, point_number, training=False)
-    pred = logits.data.argmax(axis=1)
-    acc = float((pred == sample.labels).mean())
-    final_loss = cross_entropy(logits, sample.labels).item()
-    return AblationResult(acc, final_loss, records)
+    def logits_of(tree, x: Tensor, training: bool) -> Tensor:
+        return block_stack_logits(params, tree, x, point_number, training)
+
+    return fit(params, trainable_parameters(params), [(octree, feats, sample.labels)],
+               logits_of, settings)
 
 
 def run_cpe_ablation(points_per_octant: int = 160, depth: int = 5,

@@ -1,4 +1,4 @@
-"""The hierarchical backbone, task heads, checkpointing, and toy training.
+"""The hierarchical backbone, task heads, checkpointing, and training.
 
 Layout: an embedding stack downsamples leaf features 4x, then four stages
 of transformer blocks run at successively coarser depths with a stride-2
@@ -89,6 +89,8 @@ class NetworkConfig:
             raise ConfigError("num_classes must be >= 2")
         if self.fpn_channels < 1 or self.head_hidden < 1:
             raise ConfigError("fpn_channels and head_hidden must be >= 1")
+        if self.embed_depth is not None and self.embed_depth < 1:
+            raise ConfigError("embed_depth must be >= 1, or null for the octree depth")
         unknown = set(self.features) - {"position", "color", "normal"}
         if unknown:
             raise ConfigError(f"unknown features {sorted(unknown)}")
@@ -338,7 +340,7 @@ def pool_to_depth(octree: Octree, feats: Tensor, from_depth: int,
 def backbone_apply(octree: Octree, feats: Tensor, config: NetworkConfig,
                    backbone: BackboneParams, training: bool) -> FeaturePyramid:
     """Run embedding + stages given prebuilt octree and leaf features."""
-    embed_depth = config.embed_depth or octree.depth
+    embed_depth = octree.depth if config.embed_depth is None else config.embed_depth
     if embed_depth < 7:
         raise ConfigError(f"backbone needs octree depth >= 7, got {embed_depth}")
     if embed_depth > octree.depth:
@@ -634,7 +636,7 @@ class AdamW:
 
 @dataclass
 class TrainResult:
-    model: ModelParams
+    model: object  # what was trained: a ModelParams, or any parameter tree
     records: list[dict]
     initial_loss: float
     initial_accuracy: float
@@ -642,12 +644,11 @@ class TrainResult:
     final_accuracy: float
 
 
-def _dataset_metrics(model: ModelParams, prepared):
+def _dataset_metrics(logits_of, samples):
+    """Eval-mode loss and accuracy over every labelled point of ``samples``."""
     total_loss, total_correct, total_count = 0.0, 0, 0
-    for octree, feats, labels in prepared:
-        pyramid = backbone_apply(octree, feats, model.config, model.backbone,
-                                 training=False)
-        logits = fpn_segmentation_head(pyramid, octree, model.seg_head)
+    for octree, feats, labels in samples:
+        logits = logits_of(octree, feats, False)
         loss = cross_entropy(logits, labels, IGNORE_INDEX)
         valid = labels != IGNORE_INDEX
         pred = logits.data.argmax(axis=1)
@@ -657,31 +658,18 @@ def _dataset_metrics(model: ModelParams, prepared):
     return total_loss / total_count, total_correct / total_count
 
 
-def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
-              settings: OptimSettings) -> TrainResult:
-    """Overfit a segmentation model on a small fixed dataset.
+def fit(model, params: list[tuple[str, Tensor]], samples, logits_of,
+        settings: OptimSettings) -> TrainResult:
+    """Train ``params``, the named tensors of ``model``, with AdamW.
 
-    One optimizer step consumes ``batch_size`` clouds (cycled in order)
-    with gradient accumulation; octrees and leaf features are built once.
-    Deterministic for a fixed seed and thread count.
+    ``samples`` are ``(octree, feats, labels)`` triples and
+    ``logits_of(octree, feats, training)`` gives a sample's per-point logits.
+    One optimizer step consumes ``batch_size`` samples (cycled in order) with
+    gradient accumulation. The eval-mode loss and accuracy are taken before
+    the first step and after the last. Deterministic for a fixed thread count.
     """
-    if not dataset:
-        raise DataError("empty training dataset")
-    for sample in dataset:
-        if sample.labels.max() >= config.num_classes:
-            raise DataError("label out of range for num_classes")
-
-    prepared = []
-    for sample in dataset:
-        octree = build_octree(sample.cloud)
-        feats = init_leaf_features(octree, sample.cloud, **config.feature_flags())
-        prepared.append((octree, feats, sample.labels))
-
-    model = init_model(config, seed=settings.seed)
-    params = trainable_parameters(model.backbone) + trainable_parameters(model.seg_head)
     opt = AdamW(params, settings)
-
-    initial_loss, initial_acc = _dataset_metrics(model, prepared)
+    initial_loss, initial_acc = _dataset_metrics(logits_of, samples)
 
     records = []
     cursor = 0
@@ -689,12 +677,10 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
         grads = None
         batch_loss, batch_correct, batch_count = 0.0, 0, 0
         for _ in range(settings.batch_size):
-            octree, feats, labels = prepared[cursor % len(prepared)]
+            octree, feats, labels = samples[cursor % len(samples)]
             cursor += 1
             with Tape() as tape:
-                pyramid = backbone_apply(octree, feats, model.config,
-                                         model.backbone, training=True)
-                logits = fpn_segmentation_head(pyramid, octree, model.seg_head)
+                logits = logits_of(octree, feats, True)
                 loss = cross_entropy(logits, labels, IGNORE_INDEX)
             if not np.isfinite(loss.item()):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)
@@ -713,7 +699,7 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
             batch_count += int(valid.sum())
             batch_loss += loss.item()
             # the tape's nodes hold every activation: free them before the step
-            del tape, pyramid, logits, loss
+            del tape, logits, loss
         if settings.batch_size > 1:
             for g in grads:
                 g /= settings.batch_size
@@ -726,6 +712,32 @@ def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
             "accuracy": batch_correct / batch_count,
         })
 
-    final_loss, final_acc = _dataset_metrics(model, prepared)
+    final_loss, final_acc = _dataset_metrics(logits_of, samples)
     return TrainResult(model, records, initial_loss, initial_acc,
                        final_loss, final_acc)
+
+
+def train_toy(dataset: list[LabeledCloud], config: NetworkConfig,
+              settings: OptimSettings) -> TrainResult:
+    """Overfit a segmentation model on a small fixed dataset with :func:`fit`;
+    octrees and leaf features are built once."""
+    if not dataset:
+        raise DataError("empty training dataset")
+    for sample in dataset:
+        if sample.labels.max() >= config.num_classes:
+            raise DataError("label out of range for num_classes")
+
+    prepared = []
+    for sample in dataset:
+        octree = build_octree(sample.cloud)
+        feats = init_leaf_features(octree, sample.cloud, **config.feature_flags())
+        prepared.append((octree, feats, sample.labels))
+
+    model = init_model(config, seed=settings.seed)
+
+    def logits_of(tree: Octree, x, training: bool) -> Tensor:
+        pyramid = backbone_apply(tree, x, config, model.backbone, training)
+        return fpn_segmentation_head(pyramid, tree, model.seg_head)
+
+    params = trainable_parameters(model.backbone) + trainable_parameters(model.seg_head)
+    return fit(model, params, prepared, logits_of, settings)

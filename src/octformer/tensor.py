@@ -95,9 +95,6 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype))
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 

@@ -405,8 +405,8 @@ def test_criterion_9_cpe_ablation(capsys):
     res = run_cpe_ablation(points_per_octant=160, depth=5, channels=48,
                            num_blocks=6, point_number=16, steps=150, seed=7)
     elapsed = time.perf_counter() - t0
-    with_acc = res["with_cpe"].accuracy
-    without_acc = res["without_cpe"].accuracy
+    with_acc = res["with_cpe"].final_accuracy
+    without_acc = res["without_cpe"].final_accuracy
     chance = res["chance"]
     n = res["num_points"]
     sigma = np.sqrt(chance * (1 - chance) / n)

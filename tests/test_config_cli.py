@@ -189,7 +189,7 @@ def colour_segment_files(tmp_path_factory):
 
 @pytest.mark.parametrize("key, value", [
     ("channels", True), ("octree_depth", 7.0), ("num_classes", 2.5), ("mlp_ratio", 1.5),
-    ("fpn_channels", -3), ("blocks", [1, 1, 1, 1.5])])
+    ("fpn_channels", -3), ("blocks", [1, 1, 1, 1.5]), ("embed_depth", 0)])
 def test_cli_segment_malformed_checkpoint_config_exits_2_with_one_line(
         colour_segment_files, key, value):
     d, blob = colour_segment_files

@@ -58,4 +58,4 @@ def test_train_block_stack_smoke():
     settings = OptimSettings(steps=2, lr=1e-3, weight_decay=0.0, seed=0)
     result = train_block_stack(sample, params, point_number=8, settings=settings)
     assert len(result.records) == 2
-    assert 0.0 <= result.accuracy <= 1.0
+    assert 0.0 <= result.final_accuracy <= 1.0

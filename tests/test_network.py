@@ -7,13 +7,14 @@ import pytest
 
 from octformer import network
 from octformer import tensor as T
-from octformer.errors import ConfigError, DataError, NumericError
+from octformer.errors import ConfigError, DataError, NumericError, TrainingError
 from octformer.network import (
     AdamW,
     NetworkConfig,
     OptimSettings,
     backbone_apply,
     classification_head,
+    fit,
     fpn_segmentation_head,
     init_model,
     load_checkpoint,
@@ -97,6 +98,8 @@ def test_config_validation():
         tiny_config(num_classes=1)
     with pytest.raises(ConfigError):
         tiny_config(features=("position", "intensity"))
+    with pytest.raises(ConfigError):
+        tiny_config(embed_depth=0)  # 0 is not "embed at the octree depth"
 
 
 # -- blocks and backbone --------------------------------------------------------
@@ -574,6 +577,29 @@ def test_train_rejects_bad_labels():
     cfg = tiny_config(num_classes=2, features=("position", "color"))
     with pytest.raises(DataError):
         train_toy(dataset, cfg, OptimSettings(steps=1))
+
+
+def test_fit_stops_at_the_step_whose_loss_is_not_finite():
+    """Steps 0 and 1 train; the taped logits of step 2 hold a nan, so fit
+    raises before that step's backward and update."""
+    lift = T.LinearParams.init(1, 2, np.random.default_rng(0), dtype=np.float64)
+    labels = np.array([0, 1, 0, 1])
+    taped = []
+
+    def logits_of(octree, feats, training):
+        if training:
+            taped.append(len(taped))
+        x = feats.copy()
+        if training and taped[-1] == 2:
+            x[1, 0] = np.nan
+        return T.linear(T.Tensor(x), lift)
+
+    samples = [(None, np.ones((4, 1)), labels)]
+    with pytest.raises(TrainingError, match="non-finite loss at step 2") as info:
+        fit(lift, trainable_parameters(lift), samples, logits_of,
+            OptimSettings(steps=4, lr=1e-2))
+    assert info.value.step == 2
+    assert taped == [0, 1, 2]
 
 
 def test_adamw_decay_schedule():
