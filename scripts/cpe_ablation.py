@@ -6,33 +6,55 @@ the spatial octant while the input features are constant. The stack with
 the conditional positional encoding should solve the task; the ablated
 stack provably cannot leave chance level.
 
+Every option defaults to ``run_cpe_ablation``'s value. A count below 1
+(below 0 for ``--blocks``) is a usage error; an invalid configuration
+prints one line. Both exit 2.
+
 Usage:
     python3 scripts/cpe_ablation.py
     python3 scripts/cpe_ablation.py --steps 240 --channels 64
 """
 
 import argparse
+import inspect
 import sys
 
+from octformer.errors import ConfigError, DataError
 from octformer.experiments import run_cpe_ablation
 
 
+def at_least(low: int):
+    """An argparse type: an int of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points-per-octant", type=int, default=160)
-    parser.add_argument("--depth", type=int, default=5)
-    parser.add_argument("--channels", type=int, default=48)
-    parser.add_argument("--blocks", type=int, default=6)
-    parser.add_argument("--point-number", type=int, default=16)
-    parser.add_argument("--steps", type=int, default=150)
-    parser.add_argument("--seed", type=int, default=7)
+    defaults = inspect.signature(run_cpe_ablation).parameters
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    for flag, dest, low in (("--points-per-octant", "points_per_octant", 1),
+                            ("--depth", "depth", 1),
+                            ("--channels", "channels", 1),
+                            ("--blocks", "num_blocks", 0),
+                            ("--point-number", "point_number", 1),
+                            ("--steps", "steps", 1),
+                            ("--seed", "seed", 0)):
+        parser.add_argument(flag, dest=dest, type=at_least(low), default=argparse.SUPPRESS,
+                            help=f"default {defaults[dest].default}")
     args = parser.parse_args()
 
-    res = run_cpe_ablation(points_per_octant=args.points_per_octant,
-                           depth=args.depth, channels=args.channels,
-                           num_blocks=args.blocks,
-                           point_number=args.point_number,
-                           steps=args.steps, seed=args.seed)
+    try:
+        res = run_cpe_ablation(**vars(args))
+    except (ConfigError, DataError) as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return 2
     print(f"points: {res['num_points']}  chance: {res['chance']:.4f}")
     print(f"{'variant':<14} {'train acc':>10} {'train loss':>12}")
     for key in ("with_cpe", "without_cpe"):

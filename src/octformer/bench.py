@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .network import chunked_attention
 from .octree import build_octree
 from .partition import AttentionParams
-from .synthetic import cloud_from_cells, surface_cells
+from .synthetic import cloud_from_cells, surface_cells, surface_depth
 from .tensor import Tensor
 
 VARIANTS = ("octree", "cubic", "knn", "global")
@@ -73,8 +73,6 @@ class BenchRow:
 
 
 def _make_runner(variant: str, n: int, cfg: BenchSettings):
-    from .synthetic import surface_depth
-
     depth = cfg.depth if cfg.depth is not None else surface_depth(n)
     rng = np.random.default_rng(cfg.seed + n)
     keys = surface_cells(n, depth, cfg.seed + n)

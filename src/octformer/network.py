@@ -30,6 +30,7 @@ from .partition import (
     windowed_attention,
 )
 from .tensor import (
+    IGNORE_INDEX,
     LayerNormParams,
     LinearParams,
     Tape,
@@ -37,12 +38,12 @@ from .tensor import (
     apply_layer_norm,
     backward,
     cross_entropy,
+    fill_rows,
     gather_rows,
     gelu_mlp,
     linear,
     linear_add_rows,
     linear_relu,
-    map_rows,
     mean_,
     reshape,
     residual_rows,
@@ -291,13 +292,17 @@ def attention_chunks(n: int, k: int, d: int, heads: int) -> list[slice]:
 
 
 def chunked_attention(x: Tensor, k: int, d: int, params: AttentionParams) -> Tensor:
-    """:func:`windowed_attention` of each of the :func:`attention_chunks` of
-    x, one plan per chunk, joined by :func:`map_rows`: the bits of one plan
-    over all of x, with no score array larger than a chunk's."""
-    def attend(part: Tensor) -> Tensor:
-        return windowed_attention(part, make_plan(part.shape[0], k, d), params)
-
-    return map_rows(attend, x, attention_chunks(x.shape[0], k, d, params.heads))
+    """:func:`windowed_attention` with the bits of one plan over all of x, which
+    is what runs under a tape or with one chunk. Untaped, each of the
+    :func:`attention_chunks` gets its own plan and the outputs fill one array,
+    so no score array is larger than a chunk's; every window lies in one chunk.
+    """
+    n = x.shape[0]
+    chunks = attention_chunks(n, k, d, params.heads)
+    if taping() or len(chunks) == 1:
+        return windowed_attention(x, make_plan(n, k, d), params)
+    return Tensor(fill_rows(n, chunks, lambda blk: windowed_attention(
+        Tensor(x.data[blk]), make_plan(blk.stop - blk.start, k, d), params).data))
 
 
 def octformer_block(x: Tensor, octree: Octree, depth: int, block: BlockParams,
@@ -556,7 +561,6 @@ class LabeledCloud:
 ADAMW_BETAS = (0.9, 0.999)
 ADAMW_EPS = 1e-8
 LR_DECAY_MILESTONES = (0.6, 0.8)  # fractions of the steps; lr x 0.1 at each
-IGNORE_INDEX = -1  # label that the loss and the accuracy skip
 
 
 @dataclass
@@ -644,17 +648,24 @@ class TrainResult:
     final_accuracy: float
 
 
+def _hits(logits: Tensor, labels: np.ndarray) -> tuple[int, int]:
+    """``(correct, count)``: the labelled rows whose argmax is their label, and
+    the labelled rows."""
+    valid = labels != IGNORE_INDEX
+    pred = logits.data.argmax(axis=1)
+    return int((pred[valid] == labels[valid]).sum()), int(valid.sum())
+
+
 def _dataset_metrics(logits_of, samples):
     """Eval-mode loss and accuracy over every labelled point of ``samples``."""
     total_loss, total_correct, total_count = 0.0, 0, 0
     for octree, feats, labels in samples:
         logits = logits_of(octree, feats, False)
-        loss = cross_entropy(logits, labels, IGNORE_INDEX)
-        valid = labels != IGNORE_INDEX
-        pred = logits.data.argmax(axis=1)
-        total_correct += int((pred[valid] == labels[valid]).sum())
-        total_count += int(valid.sum())
-        total_loss += loss.item() * int(valid.sum())
+        loss = cross_entropy(logits, labels)
+        correct, count = _hits(logits, labels)
+        total_correct += correct
+        total_count += count
+        total_loss += loss.item() * count
     return total_loss / total_count, total_correct / total_count
 
 
@@ -681,7 +692,7 @@ def fit(model, params: list[tuple[str, Tensor]], samples, logits_of,
             cursor += 1
             with Tape() as tape:
                 logits = logits_of(octree, feats, True)
-                loss = cross_entropy(logits, labels, IGNORE_INDEX)
+                loss = cross_entropy(logits, labels)
             if not np.isfinite(loss.item()):
                 raise TrainingError(f"non-finite loss at step {step}", step=step)
             backward(tape, loss)
@@ -693,10 +704,9 @@ def fit(model, params: list[tuple[str, Tensor]], samples, logits_of,
             else:
                 for g, (_, p) in zip(grads, params):
                     g += tape.grad(p)
-            valid = labels != IGNORE_INDEX
-            pred = logits.data.argmax(axis=1)
-            batch_correct += int((pred[valid] == labels[valid]).sum())
-            batch_count += int(valid.sum())
+            correct, count = _hits(logits, labels)
+            batch_correct += correct
+            batch_count += count
             batch_loss += loss.item()
             # the tape's nodes hold every activation: free them before the step
             del tape, logits, loss

@@ -33,6 +33,7 @@ from .tensor import (
     BatchNormState,
     Tensor,
     batch_norm,
+    fill_rows,
     from_op,
     init_weight,
     relu,
@@ -111,13 +112,9 @@ def gathered_conv(x: Tensor, idx: TapTable, weights: Tensor, depthwise: bool,
     pairs = idx.pairs
     xd, w = x.data, weights.data
     if then is not None and not taping():
-        out = None
-        for blk in blocks or [slice(0, idx.shape[0])]:
-            y = then(Tensor(_conv_rows(xd, pairs, w, depthwise, idx.shape[0], blk))).data
-            if out is None:
-                out = np.empty((idx.shape[0],) + y.shape[1:], y.dtype)
-            out[blk] = y
-        return Tensor(out)
+        n = idx.shape[0]
+        return Tensor(fill_rows(n, blocks or [slice(0, n)], lambda blk: then(
+            Tensor(_conv_rows(xd, pairs, w, depthwise, n, blk))).data))
     out = _conv_rows(xd, pairs, w, depthwise, idx.shape[0])
 
     def vjp(g):

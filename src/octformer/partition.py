@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .octconv import depthwise_conv
 from .octree import Octree, filter_and_pad_count
 from .tensor import (
@@ -126,7 +126,7 @@ class AttentionParams:
     def init(cls, channels: int, heads: int, rng: np.random.Generator | None,
              dtype=None) -> "AttentionParams":
         if channels % heads != 0:
-            raise ValueError(f"channels {channels} not divisible by heads {heads}")
+            raise ConfigError(f"channels {channels} not divisible by heads {heads}")
         head_dim = channels // heads
         shape = (channels, heads * head_dim)
         return cls(

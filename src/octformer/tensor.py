@@ -37,11 +37,12 @@ Row-blocked ops (:func:`gelu_mlp` and :func:`linear_add_rows` here,
 ``octconv.gathered_conv``) split their rows with one rule, :func:`row_blocks`:
 equal blocks of at most about ``MLP_BLOCK_ELEMENTS`` (2^17) elements, so that
 no full-size temporary exists and the bits match the unblocked expression.
-:func:`map_rows` runs a row-wise function over given row blocks (the network's
-attention chunks, sized by the same rule with their own budget) and joins the
-outputs; :func:`residual_rows` adds each block's output to the block's input
-rows instead. :func:`gather_rows` and :func:`scatter_rows_add` take the octree's
-int32 indices as they are.
+A layer runs over row blocks only without a tape; a tape records it whole.
+Untaped, :func:`fill_rows` writes each block's output rows into one result
+(the network's attention chunks, sized by the same rule with their own
+budget, and the head's conv blocks), and :func:`residual_rows` adds each
+block's output to the block's input rows instead. :func:`gather_rows` and
+:func:`scatter_rows_add` take the octree's int32 indices as they are.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ DEFAULT_DTYPE = np.float32  # what a non-float array becomes; a ``dtype=`` overr
 INIT_STD = 0.02  # std of every initial weight draw
 NORM_EPS = 1e-5  # added to the variance in every layer and batch norm
 BN_MOMENTUM = 0.1  # weight of a training batch's statistics in the running ones
+IGNORE_INDEX = -1  # label that the loss (and the network's accuracy) skips
 
 
 class Tensor:
@@ -538,15 +540,15 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool,
     return _normalize(x, state.gamma, state.beta, mu, var, 0, overwrite_x)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = -1) -> Tensor:
-    """Mean negative log-softmax over the non-ignored rows."""
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-softmax over the rows not labelled ``IGNORE_INDEX``."""
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be (N, L), got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (logits.shape[0],):
         raise ShapeError("labels must be one index per logits row")
-    valid = labels != ignore_index
+    valid = labels != IGNORE_INDEX
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise NumericError("cross_entropy: every row is ignored")
@@ -645,29 +647,24 @@ def row_blocks(n: int, width: int, elements: int | None = None) -> list[slice]:
     return [slice(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
 
 
-def map_rows(fn, x: Tensor, blocks: list[slice]) -> Tensor:
-    """``fn`` of each row block of ``x``, its outputs joined in row order.
+def fill_rows(n: int, blocks: list[slice], rows_of) -> np.ndarray:
+    """An n-row array whose rows ``blk`` are ``rows_of(blk)`` (an array), for
+    each of ``blocks`` (contiguous, covering every row); untaped use only.
 
-    ``blocks`` are contiguous and cover every row. One block is ``fn(x)``
-    itself. Otherwise each output is copied into the result when it returns,
-    so untaped it dies before the next block runs. Taped, the join's vjp
-    hands each block its slice of ``g``, and each block's rows of x pass
-    theirs on padded with zero rows, for ``backward`` to sum.
+    It is allocated at the first block's width and dtype, and each block's
+    rows are copied in as they return, so they die before the next block
+    runs. One block is returned as it is.
     """
-    x = as_tensor(x)
     if len(blocks) == 1:
-        return fn(x)
-    taped = bool(_ACTIVE)
-    out, outs = None, []
+        return rows_of(blocks[0])
+    out = None
     for blk in blocks:
-        y = fn(_rows(x, blk))
+        y = rows_of(blk)
         if out is None:
-            out = np.empty((x.shape[0],) + y.shape[1:], y.dtype)
-        out[blk] = y.data
-        if taped:
-            outs.append(y)
+            out = np.empty((n,) + y.shape[1:], y.dtype)
+        out[blk] = y
         del y
-    return from_op(out, tuple(outs), lambda g: tuple(g[b] for b in blocks))
+    return out
 
 
 def residual_rows(fn, x: Tensor, blocks: list[slice], overwrite_x: bool = False) -> Tensor:
@@ -688,16 +685,6 @@ def residual_rows(fn, x: Tensor, blocks: list[slice], overwrite_x: bool = False)
     for blk in blocks:
         np.add(x.data[blk], fn(Tensor(x.data[blk])).data, out=out[blk])
     return Tensor(out)
-
-
-def _rows(x: Tensor, blk: slice) -> Tensor:
-    """Rows ``blk`` of ``x``, a view; the vjp pads g with zero rows."""
-    def vjp(g):
-        gx = np.zeros(x.shape, g.dtype)
-        gx[blk] = g
-        return (gx,)
-
-    return from_op(x.data[blk], (x,), vjp)
 
 
 def gelu_mlp(x: Tensor, fc1: LinearParams, fc2: LinearParams) -> Tensor:

@@ -340,7 +340,7 @@ def test_cross_entropy_matches_lse_oracle():
     z = r.normal(size=(6, 5))
     labels = r.integers(0, 5, size=6)
     labels[2] = -1  # ignored
-    loss = T.cross_entropy(T.Tensor(z, np.float64), labels, ignore_index=-1).item()
+    loss = T.cross_entropy(T.Tensor(z, np.float64), labels).item()
     ref = 0.0
     for i in range(6):
         if labels[i] == -1:
@@ -352,12 +352,12 @@ def test_cross_entropy_matches_lse_oracle():
 
 def test_cross_entropy_all_ignored():
     with pytest.raises(NumericError):
-        T.cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([-1, -1]), ignore_index=-1)
+        T.cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([-1, -1]))
 
 
 def test_cross_entropy_gradcheck():
     labels = np.array([0, 2, 1, -1])
-    gradcheck(lambda xs: T.cross_entropy(xs[0], labels, ignore_index=-1), [(4, 3)])
+    gradcheck(lambda xs: T.cross_entropy(xs[0], labels), [(4, 3)])
 
 
 # -- composite ----------------------------------------------------------------

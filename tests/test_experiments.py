@@ -1,5 +1,12 @@
-import numpy as np
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
+import pytest
+
+from octformer import experiments
 from octformer import tensor as T
 from octformer.experiments import block_stack_logits, init_block_stack, train_block_stack
 from octformer.network import OptimSettings
@@ -59,3 +66,19 @@ def test_train_block_stack_smoke():
     result = train_block_stack(sample, params, point_number=8, settings=settings)
     assert len(result.records) == 2
     assert 0.0 <= result.final_accuracy <= 1.0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--steps", "0"], "argument --steps: must be >= 1, got 0"),
+    (["--channels", "0"], "argument --channels: must be >= 1, got 0"),
+    (["--channels", "33", "--steps", "1"], "data error: channels 33 not divisible by heads 2"),
+])
+def test_cpe_ablation_script_rejects_bad_arguments_without_a_traceback(args, message):
+    """A count below 1 is argparse's usage error and an unsatisfiable set-up a
+    one-line config error: both exit 2, and stderr holds no traceback."""
+    src = pathlib.Path(experiments.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / "cpe_ablation.py"
+    proc = subprocess.run([sys.executable, str(script), *args], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and message in proc.stderr

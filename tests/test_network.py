@@ -766,16 +766,13 @@ def test_chunked_attention_matches_one_plan(monkeypatch, d, dtype):
 
     want = one_plan(x).data
     assert chunked(x).data.tobytes() == want.tobytes()  # no tape
-    got_y, got_grads, _ = _attention_outputs(chunked, x, params, cotangent)
-    want_y, want_grads, _ = _attention_outputs(one_plan, x, params, cotangent)
+    got_y, got_grads, got_nodes = _attention_outputs(chunked, x, params, cotangent)
+    want_y, want_grads, want_nodes = _attention_outputs(one_plan, x, params, cotangent)
     assert got_y.tobytes() == want.tobytes() == want_y.tobytes()
-    # each row's gradient comes from its own window: the same bits; a weight's
-    # gradient sums over the chunks, so only its summation order differs
-    assert got_grads[0].tobytes() == want_grads[0].tobytes()
-    rtol = 1e-5 if dtype == np.float32 else 1e-12
-    for g, w in zip(got_grads[1:], want_grads[1:]):
-        assert g.dtype == w.dtype
-        np.testing.assert_allclose(g, w, rtol=rtol, atol=rtol * np.abs(w).max())
+    # under a tape it is one plan: the same nodes, and every gradient's bits
+    assert got_nodes == want_nodes
+    for g, w in zip(got_grads, want_grads):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     # one chunk is the one-plan call itself: the same bits, no extra tape node
     monkeypatch.setattr(network, "ATTN_CHUNK_ELEMENTS", 1 << 20)
