@@ -1,15 +1,15 @@
 """Command-line surface.
 
 Subcommands: build-octree, partition, attend, train-toy, segment, bench,
-selftest. Exit codes: 0 success, 1 usage error, 2 data/config error,
-3 numeric or training failure. Commands run with floating-point overflow,
-invalid operations and division by zero raising, so each is a numeric error.
+selftest. Exit codes: 0 success, 1 usage error, 2 data/config error (an
+input too large for memory included), 3 numeric or training failure.
+Commands run with floating-point overflow, invalid operations and division by
+zero raising, so each is a numeric error.
 
 Thread control: `--threads N` (default: the OCTFORMER_THREADS environment
 variable) caps the BLAS thread pools. It must take effect before numpy is
 first imported, so heavy modules are imported lazily inside the command
-handlers. scipy is not imported with the program: the first float64 GELU
-imports it (``train-toy``), so the float32 commands never load it.
+handlers.
 """
 
 from __future__ import annotations
@@ -261,6 +261,10 @@ def main(argv: list[str] | None = None) -> int:
             return _COMMANDS[args.command](args)
     except (DataError, ConfigError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as e:  # the input asks for more than the machine has
+        print(f"data error: out of memory: {e}" if str(e) else "data error: out of memory",
+              file=sys.stderr)
         return EXIT_DATA
     except (NumericError, TrainingError, FloatingPointError) as e:
         print(f"numeric error: {e}", file=sys.stderr)

@@ -15,9 +15,7 @@ the epilogues of :func:`linear_relu` and :func:`linear_add_rows`, the passes of
 ``gelu``, ``softmax`` and the norms) computes the same bits as the expression
 it replaces. The exception is float32 ``gelu``, whose erf is a rational
 approximation rather than scipy's (see :func:`_gaussian_cdf`); float64
-``gelu`` is scipy's, bit for bit. scipy is imported at the first float64
-``gelu``, so float32 programs (``segment`` of a float32 checkpoint,
-``attend``, ``bench``) never load it.
+``gelu`` has scipy's bits (see :func:`_erf64`).
 
 An op writes into an input only when its caller opts in and no tape records.
 With ``overwrite_x`` (``overwrite_b`` for :func:`add`) the caller hands over an
@@ -390,8 +388,24 @@ _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
 
 
-def _horner(u2: np.ndarray, coeffs) -> np.ndarray:
-    acc = np.multiply(u2, coeffs[0])
+# float64 erf, Cephes' ndtr.c (what scipy.special.erf runs); highest power first,
+# with a leading 1 where Cephes evaluates a monic polynomial (p1evl).
+# |u| <= 1: erf(u) = u T(u^2) / U(u^2).
+_ERF64_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+            7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF64_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+            4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+# 1 < |u| < 8: erfc(|u|) = exp(-u^2) P(|u|) / Q(|u|), and erf = sign(u) (1 - erfc).
+_ERFC64_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+             4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+             9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC64_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+             3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
+             2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(u2: np.ndarray, coeffs, out: np.ndarray | None = None) -> np.ndarray:
+    acc = np.multiply(u2, coeffs[0], out=out)
     acc += coeffs[1]
     for c in coeffs[2:]:
         acc *= u2
@@ -399,18 +413,50 @@ def _horner(u2: np.ndarray, coeffs) -> np.ndarray:
     return acc
 
 
+def _erf64(u: np.ndarray) -> np.ndarray:
+    """scipy's float64 ``erf(u)``, bit for bit, written into ``u``: a port of
+    Cephes' erf, u T(u^2) / U(u^2) for |u| <= 1 and 1 - erfc(|u|) with its
+    sign beyond (:func:`_erf64_tail`). One scratch array holds |u| and then
+    each polynomial: a fresh one per step would cost more than the step."""
+    scratch = np.abs(u, out=np.empty_like(u))
+    tail = scratch > 1.0  # nan is not: the rational keeps it
+    erf_tail = _erf64_tail(u[tail])
+    u[tail] = 0.0  # keeps the rational finite until the tail's erf replaces it
+    u2 = u * u
+    u *= _horner(u2, _ERF64_T, out=scratch)
+    u /= _horner(u2, _ERF64_U, out=scratch)
+    u[tail] = erf_tail
+    return u
+
+
+def _erf64_tail(v: np.ndarray) -> np.ndarray:
+    """Cephes' erf for |v| > 1, sign(v) (1 - exp(-v^2) P(|v|) / Q(|v|)).
+
+    Cephes takes another erfc rational from 8 on and an erfc of 0 once
+    exp(-v^2) underflows, but erfc(6) < 2^-54, so erf is already +-1 there:
+    clamping |v| at 8 keeps P/Q and gives +-1 for every larger |v|, inf
+    included. Cephes' exp is the C library's, whose bits numpy's SIMD float64
+    exp does not always give; numpy's complex exp calls the C library's, and
+    at a zero imaginary part its real part is that exp.
+    """
+    if v.size == 0:  # the usual case: gelu inputs rarely reach |x| > sqrt 2
+        return v
+    a = np.minimum(np.abs(v), 8.0)
+    erfc = np.exp((-a * a).astype(np.complex128)).real
+    erfc *= _horner(a, _ERFC64_P)
+    erfc /= _horner(a, _ERFC64_Q)
+    return np.copysign(np.subtract(1.0, erfc, out=erfc), v, out=erfc)
+
+
 def _gaussian_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Phi(x) = (1 + erf(x / sqrt 2)) / 2, the gelu kernel, written to ``out``.
 
-    Float64 evaluates scipy's erf, imported here on first use so that float32
-    programs never load scipy. Float32 evaluates the clamped rational above;
-    gelu then lies within 2.7e-7 * max(1, |x|) of the float64 gelu.
+    Float64 evaluates :func:`_erf64`. Float32 evaluates the clamped rational
+    above; gelu then lies within 2.7e-7 * max(1, |x|) of the float64 gelu.
     """
     u = np.multiply(x, _INV_SQRT2, out=np.empty_like(x) if out is None else out)
     if u.dtype != np.float32:
-        from scipy.special import erf
-
-        erf(u, out=u)
+        _erf64(u)
         u += 1.0
         u *= 0.5
         return u

@@ -507,6 +507,40 @@ def test_linear_shape_error():
             T.linear(T.Tensor(np.zeros(shape)), p)
 
 
+# -- float64 erf ----------------------------------------------------------------
+# tensor._erf64 ports Cephes' erf, which scipy runs, and must give scipy's bits.
+# It runs as the commands do: overflow, invalid and divide raising.
+
+_CEPHES_MAXLOG_ROOT = np.sqrt(7.09782712893383996843e2)  # ~26.64: erfc underflows past it
+
+
+def _erf64_bits_match_scipy(x):
+    from scipy.special import erf
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = T._erf64(np.array(x, np.float64))
+    return got.shape == np.shape(x) and got.tobytes() == np.asarray(erf(x)).tobytes()
+
+
+def test_erf64_matches_scipy_bit_for_bit_on_a_dense_grid():
+    r = rng(31)
+    edges = np.array([1.0, 6.0, 8.0, _CEPHES_MAXLOG_ROOT])
+    near_edges = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 30.0),
+                                 (edges + r.uniform(-1e-3, 1e-3, (2_000, 4))).ravel()])
+    x = np.concatenate([np.linspace(-30.0, 30.0, 4_000_001), near_edges, -near_edges,
+                        r.normal(size=500_000), r.normal(size=500_000) * 5.0])
+    assert ((np.abs(x) < 1.0).sum() > 100_000 and (np.abs(x) > 27.0).sum() > 100_000
+            and ((np.abs(x) > 1.0) & (np.abs(x) < 8.0)).sum() > 100_000)
+    assert _erf64_bits_match_scipy(x)
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 8.0, -8.0,
+                               5e-324, -5e-324])
+def test_erf64_special_inputs_match_scipy(x):
+    assert _erf64_bits_match_scipy(np.array([x, x]))
+    assert _erf64_bits_match_scipy(np.asarray(x))  # 0-d
+
+
 # -- float32 gelu and the fused mlp ---------------------------------------------
 
 GELU32_BOUND = 5e-7  # |gelu32(x) - gelu64(x)| <= GELU32_BOUND * max(1, |x|)
@@ -608,7 +642,7 @@ def test_gelu_mlp_without_tape_keeps_no_full_hidden_array(dtype):
     n, c = 16384, 32
     fc1, fc2 = _mlp_params(r, c, 4 * c, dtype)
     x = T.Tensor(r.normal(size=(n, c)), dtype)
-    T.gelu(T.Tensor(np.zeros(1), dtype))  # a float64 gelu imports scipy: not in the window
+    T.gelu(T.Tensor(np.zeros(1), dtype))  # a warm-up: one-time allocations stay out of the window
     tracemalloc.start()
     try:
         T.gelu_mlp(x, fc1, fc2)

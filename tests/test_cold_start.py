@@ -1,4 +1,4 @@
-"""Cold start: float32 commands never import scipy.
+"""Cold start: no command imports scipy.
 
 The pytest process already holds scipy (the gradient checks and the oracles
 import it), so each check runs in a fresh interpreter.
@@ -74,8 +74,9 @@ def _train_config(out_dir: pathlib.Path) -> dict:
 
 
 def test_train_toy_in_a_fresh_process_writes_the_in_process_bytes(tmp_path, capsys):
-    """scipy, imported at the first float64 gelu, gives the bits it gave when
-    imported up front."""
+    """A fresh process trains without loading scipy (its float64 gelu is
+    numpy's port of scipy's erf) and writes the bits of a process that holds
+    scipy."""
     runs = {}
     for where in ("fresh", "in-process"):
         out_dir = tmp_path / where
@@ -85,6 +86,7 @@ def test_train_toy_in_a_fresh_process_writes_the_in_process_bytes(tmp_path, caps
         if where == "fresh":
             proc = _run_cli("train-toy", "--config", str(cfg))
             assert proc.returncode == cli.EXIT_OK, proc.stderr
+            assert proc.stderr.endswith("scipy loaded: False\n"), proc.stderr
         else:
             assert cli.main(["train-toy", "--config", str(cfg)]) == cli.EXIT_OK
             capsys.readouterr()

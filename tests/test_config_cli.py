@@ -657,6 +657,27 @@ def test_cli_directory_path_exits_2_with_one_line(toy_segment_files, tmp_path, c
     assert str(tmp_path) in err
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                 "(1000000000000,) and data type int64"),
+     "data error: out of memory: Unable to allocate 7.28 TiB"),
+    (MemoryError(), "data error: out of memory\n"),
+], ids=["numpy-message", "bare"])
+def test_cli_input_too_large_for_memory_exits_2_with_one_line(capsys, monkeypatch,
+                                                               error, message):
+    """``partition --n 1000000000000`` fails its first allocation; the error is
+    raised here instead, so that the test allocates nothing."""
+    from octformer import partition
+
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(partition, "make_plan", out_of_memory)
+    code, out, err = run_cli(capsys, "partition", "--n", "1000000000000", "--k", "4")
+    assert code == cli.EXIT_DATA and out == ""
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+
+
 def test_cli_attend_checksum_deterministic(tmp_path, capsys):
     src = tmp_path / "pts.xyz"
     rng = np.random.default_rng(1)

@@ -71,7 +71,7 @@ def test_train_block_stack_smoke():
 @pytest.mark.parametrize("args, message", [
     (["--steps", "0"], "argument --steps: must be >= 1, got 0"),
     (["--channels", "0"], "argument --channels: must be >= 1, got 0"),
-    (["--channels", "33", "--steps", "1"], "data error: channels 33 not divisible by heads 2"),
+    (["--depth", "30", "--steps", "1"], "data error: octree depth must be in [1, 21]"),
 ])
 def test_cpe_ablation_script_rejects_bad_arguments_without_a_traceback(args, message):
     """A count below 1 is argparse's usage error and an unsatisfiable set-up a
@@ -82,3 +82,22 @@ def test_cpe_ablation_script_rejects_bad_arguments_without_a_traceback(args, mes
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and message in proc.stderr
+
+
+@pytest.mark.parametrize("channels, heads", [(48, 3), (64, 4), (8, 1), (33, 1), (100, 5)])
+def test_ablation_heads_is_the_largest_divisor_within_one_per_16_channels(channels, heads):
+    assert experiments.ablation_heads(channels) == heads
+
+
+def test_cpe_ablation_runs_33_channels_with_one_head(monkeypatch):
+    heads = []
+
+    def init_recording_heads(*args, **kwargs):
+        heads.append(kwargs["heads"])
+        return init_block_stack(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "init_block_stack", init_recording_heads)
+    res = experiments.run_cpe_ablation(points_per_octant=4, depth=3, channels=33,
+                                       num_blocks=1, steps=1)
+    assert heads == [1, 1]
+    assert len(res["with_cpe"].records) == len(res["without_cpe"].records) == 1
