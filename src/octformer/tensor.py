@@ -404,11 +404,11 @@ _ERFC64_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
              2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
 
 
-def _horner(u2: np.ndarray, coeffs, out: np.ndarray | None = None) -> np.ndarray:
-    acc = np.multiply(u2, coeffs[0], out=out)
+def _horner(z: np.ndarray, coeffs, out: np.ndarray | None = None) -> np.ndarray:
+    acc = np.multiply(z, coeffs[0], out=out)
     acc += coeffs[1]
     for c in coeffs[2:]:
-        acc *= u2
+        acc *= z
         acc += c
     return acc
 
