@@ -7,8 +7,8 @@ the conditional positional encoding should solve the task; the ablated
 stack provably cannot leave chance level.
 
 Every option defaults to ``run_cpe_ablation``'s value. A count below 1
-(below 0 for ``--blocks``) is a usage error; an invalid configuration
-prints one line. Both exit 2.
+(below 0 for ``--blocks``) is a usage error; an invalid configuration, or
+one too large for memory, prints one line. Both exit 2.
 
 Usage:
     python3 scripts/cpe_ablation.py
@@ -54,6 +54,10 @@ def main() -> int:
         res = run_cpe_ablation(**vars(args))
     except (ConfigError, DataError) as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # the options ask for more than the machine has
+        print(f"data error: out of memory: {e}" if str(e) else "data error: out of memory",
+              file=sys.stderr)
         return 2
     print(f"points: {res['num_points']}  chance: {res['chance']:.4f}")
     print(f"{'variant':<14} {'train acc':>10} {'train loss':>12}")

@@ -134,7 +134,8 @@ def knn_indices(octree: Octree, depth: int, k: int,
             vals = np.where(hit >= 0, d2 * n + hit, sentinel)
             enough = (vals < sentinel).sum(axis=1) >= k
             kth = np.partition(vals, k - 1, axis=1)[:, k - 1]
-            done = enough & (kth < sentinel) & (kth // n < (radius + 1) ** 2)
+            # from radius lim - 1 on, the cube holds every cell of the domain
+            done = enough & ((kth // n < (radius + 1) ** 2) | (radius >= lim - 1))
             if done.any():
                 top = np.partition(vals[done], k - 1, axis=1)[:, :k]
                 top.sort(axis=1)

@@ -17,8 +17,9 @@ The forward runs each tap's pairs in ``tensor.row_blocks`` of its products,
 so the gather, the product and the ``out[out_rows]`` read are block-sized;
 the bits are those of the unblocked expression. Within a tap distinct
 outputs read distinct inputs, so backward scatters into ``gx[in_rows]`` with
-plain fancy indexing. Tap tables and their per-tap int32 row pairs are built
-once and cached, read-only, on the ``Octree``.
+plain fancy indexing. Each footprint's per-tap int32 row pairs are built once
+and cached, read-only, on the ``Octree`` as :class:`~octformer.octree.Taps`;
+no (N_out, taps) table is kept.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .octree import Octree, TapTable
+from .octree import Octree, Taps
 from .tensor import (
     BatchNormState,
     Tensor,
@@ -78,9 +79,12 @@ class ConvSpec:
                    init_weight(shape, rng, dtype), depthwise)
 
 
-def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> TapTable:
-    """Tap table (N_out, taps) into the depth-``depth`` node array."""
-    return octree.tap_table(depth, kernel, stride)
+def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> np.ndarray:
+    """Tap table (N_out, taps) into the depth-``depth`` node array, built anew.
+    The convs call this and drop the table at once only because perfbench's
+    tracer patches this name to time the taps and count their fill; ROADMAP
+    item 1 deletes those calls."""
+    return octree.tap_table(depth, kernel, stride).table()
 
 
 def _conv_rows(xd: np.ndarray, pairs, w: np.ndarray, depthwise: bool, n_out: int,
@@ -100,22 +104,21 @@ def _conv_rows(xd: np.ndarray, pairs, w: np.ndarray, depthwise: bool, n_out: int
     return out
 
 
-def gathered_conv(x: Tensor, idx: TapTable, weights: Tensor, depthwise: bool,
+def gathered_conv(x: Tensor, idx: Taps, weights: Tensor, depthwise: bool,
                   then=None, blocks: list[slice] | None = None) -> Tensor:
-    """Per-tap contractions over a tap table's cached pairs, as one taped op.
+    """Per-tap contractions over a footprint's pairs ``idx``, as one taped op.
 
     ``then(conv)`` is returned for a row-local ``then`` (the head's MLP), with
     its bits when ``then`` keeps them over the row ``blocks`` of the output
     (by default one block). Untaped, each block of output rows is convolved
     and passed through ``then`` on its own, so no full-size conv output exists.
     """
-    pairs = idx.pairs
+    pairs, n = idx.pairs, idx.n_out
     xd, w = x.data, weights.data
     if then is not None and not taping():
-        n = idx.shape[0]
         return Tensor(fill_rows(n, blocks or [slice(0, n)], lambda blk: then(
             Tensor(_conv_rows(xd, pairs, w, depthwise, n, blk))).data))
-    out = _conv_rows(xd, pairs, w, depthwise, idx.shape[0])
+    out = _conv_rows(xd, pairs, w, depthwise, n)
 
     def vjp(g):
         gx = np.zeros(xd.shape, dtype=g.dtype)
@@ -139,16 +142,17 @@ def octree_conv(x: Tensor, octree: Octree, depth: int, spec: ConvSpec, then=None
         raise ShapeError(f"x has {x.shape[0]} rows, depth {depth} has {n_in} nodes")
     if x.shape[1] != spec.in_channels:
         raise ShapeError(f"x has {x.shape[1]} channels, spec wants {spec.in_channels}")
-    idx = conv_indices(octree, depth, spec.kernel, spec.stride)
-    return gathered_conv(x, idx, spec.weights, spec.depthwise, then, blocks)
+    conv_indices(octree, depth, spec.kernel, spec.stride)  # dropped at once; see there
+    return gathered_conv(x, octree.tap_table(depth, spec.kernel, spec.stride),
+                         spec.weights, spec.depthwise, then, blocks)
 
 
 def depthwise_conv(x: Tensor, octree: Octree, depth: int, kernel: Tensor) -> Tensor:
     """3^3 depthwise stencil used by the conditional positional encoding."""
     if kernel.shape != (27, x.shape[1]):
         raise ShapeError(f"depthwise kernel must be (27, {x.shape[1]})")
-    idx = conv_indices(octree, depth, kernel=3, stride=1)
-    return gathered_conv(x, idx, kernel, depthwise=True)
+    conv_indices(octree, depth, 3, 1)  # dropped at once; see there
+    return gathered_conv(x, octree.tap_table(depth, 3, 1), kernel, depthwise=True)
 
 
 @dataclass

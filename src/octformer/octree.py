@@ -4,6 +4,10 @@ An octree here is the set of *non-empty* cells at every depth, each level
 stored as a strictly increasing array of shuffled keys. Construction is a
 sort + dedup of max-depth keys followed by repeated parent derivation, so
 the result is a pure function of the occupied cell set.
+
+Each conv footprint is cached as :class:`Taps`, per tap the int32 (output
+row, input row) pairs of the present neighbours. The (N_out, taps) table they
+come from is dropped once built; :meth:`Taps.table` builds it anew.
 """
 
 from __future__ import annotations
@@ -91,20 +95,33 @@ def tap_recurrence(kernel: int) -> tuple[np.ndarray, np.ndarray]:
     return (moved >> 1) @ np.array([9, 3, 1]) + 13, (moved & 1) @ np.array([4, 2, 1])
 
 
-class TapTable(np.ndarray):
-    """Read-only (N_out, taps) int32 index table; -1 where the cell is empty.
+@dataclass(frozen=True, eq=False)
+class Taps:
+    """A conv footprint's taps into ``n_out`` output rows: ``pairs[t]`` holds
+    tap t's present entries as read-only int32 ``(out_rows, in_rows)``, the
+    output rows sorted. Anchors shifted by one offset stay distinct, so each
+    tap's input rows are too."""
 
-    ``pairs[t]`` holds tap t's present entries as int32 ``(out_rows, in_rows)``.
-    Anchors shifted by one offset stay distinct, so each column's are too.
-    """
+    n_out: int
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None  # views lack them
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_out, len(self.pairs)
+
+    def table(self) -> np.ndarray:
+        """Read-only (n_out, taps) int32 table, built anew; -1 where empty."""
+        table = np.full(self.shape, -1, dtype=np.int32)
+        for t, (rows, cols) in enumerate(self.pairs):
+            table[rows, t] = cols
+        table.setflags(write=False)
+        return table
 
 
 @dataclass
 class Octree:
     """Per-depth sorted key arrays with parent/child index maps. Every index
-    array (parents, point assignment, child and tap tables) is int32; the
+    array (parents, point assignment, child tables and tap pairs) is int32; the
     children of node i at depth l are the nodes whose ``keys[l+1] >> 3`` is
     ``keys[l][i]``, a contiguous run."""
 
@@ -113,7 +130,7 @@ class Octree:
     parent_index: list[np.ndarray | None]  # (N_l,) indices into keys[l-1]
     point_assignment: np.ndarray           # (P,) leaf index at max depth
     _coords: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _taps: dict[tuple[int, int, int], TapTable] = field(default_factory=dict, repr=False)
+    _taps: dict[tuple[int, int, int], Taps] = field(default_factory=dict, repr=False)
     _child_tables: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def node_count(self, depth: int) -> int:
@@ -127,45 +144,55 @@ class Octree:
             self._coords[depth] = morton.decode_cells(self.keys[depth], depth)
         return self._coords[depth]
 
-    def tap_table(self, depth: int, kernel: int, stride: int) -> TapTable:
-        """Conv table into the depth-``depth`` nodes, built once. Stride 1 anchors
-        at those nodes; stride 2 at twice the coordinates of their parents.
+    def tap_table(self, depth: int, kernel: int, stride: int) -> Taps:
+        """Conv taps into the depth-``depth`` nodes, built once. Stride 1 anchors
+        at those nodes; stride 2 at twice the coordinates of their parents."""
+        key = (depth, kernel, stride)
+        if key not in self._taps:
+            self._build_taps(depth, kernel, stride)
+        return self._taps[key]
+
+    def _build_taps(self, depth: int, kernel: int, stride: int) -> np.ndarray:
+        """Cache the taps of one footprint; return the table built on the way,
+        which the caller drops.
 
         No key search: a cell's neighbour is a child of its parent's
         neighbour, so ``table[a, t] = children[up[q, P[s, t]], S[s, t]]`` with
         ``up`` the k3 stride-1 table one depth up (a centre-only virtual root
         above depth 1), ``children`` the by-slot child table of that depth,
         ``q``/``s`` the anchor's parent and slot (stride 2: the output node and
-        slot 0) and ``P``/``S`` from :func:`tap_recurrence`.
+        slot 0) and ``P``/``S`` from :func:`tap_recurrence`. ``up`` is rebuilt
+        from its cached taps, or is the table that building them returned.
         """
-        key = (depth, kernel, stride)
-        if key not in self._taps:
-            self._check_depth(depth)
-            if stride not in (1, 2) or depth < stride:
-                raise ValueError(f"stride {stride} is not 1, or 2 at depth >= 2")
-            parent_of, slot_of = tap_recurrence(kernel)
-            children = self._children(depth - 1)
-            if (kernel, stride) == (2, 2):
-                table = children[:-1]  # children by slot are the k2 stride-2 taps
+        self._check_depth(depth)
+        if stride not in (1, 2) or depth < stride:
+            raise ValueError(f"stride {stride} is not 1, or 2 at depth >= 2")
+        parent_of, slot_of = tap_recurrence(kernel)
+        children = self._children(depth - 1)
+        if (kernel, stride) == (2, 2):
+            table = children[:-1]  # children by slot are the k2 stride-2 taps
+        else:
+            if depth == 1:
+                up = _ROOT_TAPS
+            elif (depth - 1, 3, 1) in self._taps:
+                up = self._taps[depth - 1, 3, 1].table()
             else:
-                up = self.tap_table(depth - 1, 3, 1) if depth > 1 else _ROOT_TAPS
-                if stride == 1:  # one anchor slot at a time: (N_s, taps) temporaries
-                    slots = self.keys[depth] & np.uint64(7)
-                    q = self.parent_index[depth] if depth > 1 else np.zeros(slots.shape, np.int32)
-                    table = np.empty((slots.shape[0], kernel**3), np.int32)
-                    for s in range(8):
-                        rows = np.flatnonzero(slots == s)
-                        table[rows] = children[np.asarray(up)[q[rows, None], parent_of[s]],
-                                               slot_of[s]]
-                else:
-                    table = children[np.asarray(up)[:, parent_of[0]], slot_of[0]]
-            rows = [np.flatnonzero(col >= 0).astype(np.int32) for col in table.T]
-            pairs = tuple((r, col[r]) for r, col in zip(rows, table.T))
-            for arr in (table, *itertools.chain(*pairs)):
-                arr.setflags(write=False)
-            self._taps[key] = table = table.view(TapTable)
-            table.pairs = pairs
-        return self._taps[key]
+                up = self._build_taps(depth - 1, 3, 1)
+            if stride == 1:  # one anchor slot at a time: (N_s, taps) temporaries
+                slots = self.keys[depth] & np.uint64(7)
+                q = self.parent_index[depth] if depth > 1 else np.zeros(slots.shape, np.int32)
+                table = np.empty((slots.shape[0], kernel**3), np.int32)
+                for s in range(8):
+                    rows = np.flatnonzero(slots == s)
+                    table[rows] = children[up[q[rows, None], parent_of[s]], slot_of[s]]
+            else:
+                table = children[up[:, parent_of[0]], slot_of[0]]
+        rows = [np.flatnonzero(col >= 0).astype(np.int32) for col in table.T]
+        pairs = tuple((r, col[r]) for r, col in zip(rows, table.T))
+        for arr in itertools.chain(*pairs):
+            arr.setflags(write=False)
+        self._taps[depth, kernel, stride] = Taps(table.shape[0], pairs)
+        return table
 
     def _children(self, depth: int) -> np.ndarray:
         """(N_depth + 1, 8) child indices by slot of the depth-``depth`` nodes

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,19 @@ def test_knn_shell_path_matches_brute_force():
     got = knn_indices(tree, 5, k=9, brute_force_below=10)
     ref = brute_force_knn(coords, 9)
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("k", [8, 9, 16])
+def test_knn_shell_path_reaches_across_the_domain(k):
+    # two opposite 2x2x2 corners of a depth-4 grid: from k = 9 on, a query's
+    # k-th nearest node lies in the far corner, beyond the lim-cell cube test
+    cells = np.array(list(itertools.product((0, 1), repeat=3)))
+    pos = (np.concatenate([cells, 15 - cells]) + 0.5) / 16
+    tree = build_octree(QuantizedCloud(pos, 4))
+    assert tree.node_count(4) == 16
+    got = knn_indices(tree, 4, k=k, brute_force_below=0, chunk=4)
+    assert np.array_equal(got, knn_indices(tree, 4, k=k, brute_force_below=16))
+    assert np.array_equal(got, brute_force_knn(tree.coords(4), k))
 
 
 def test_knn_deterministic_under_ties():

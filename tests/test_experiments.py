@@ -1,3 +1,4 @@
+import functools
 import os
 import pathlib
 import subprocess
@@ -82,6 +83,34 @@ def test_cpe_ablation_script_rejects_bad_arguments_without_a_traceback(args, mes
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and message in proc.stderr
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 74.5 GiB"),
+     "data error: out of memory: Unable to allocate 74.5 GiB\n"),
+    (MemoryError(), "data error: out of memory\n"),
+])
+def test_cpe_ablation_script_reports_out_of_memory_in_one_line(monkeypatch, capsys,
+                                                               error, message):
+    """An ablation too large for memory is one data-error line and exit 2, as
+    ``octformer`` commands give it; the stub raises before anything is allocated."""
+    import importlib.util
+
+    src = pathlib.Path(experiments.__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "cpe_ablation", src.parent / "scripts" / "cpe_ablation.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    @functools.wraps(script.run_cpe_ablation)  # main reads the defaults off its signature
+    def out_of_memory(**kwargs):
+        raise error
+
+    monkeypatch.setattr(script, "run_cpe_ablation", out_of_memory)
+    monkeypatch.setattr(sys, "argv", ["cpe_ablation.py", "--point-number", "100000"])
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
 
 
 @pytest.mark.parametrize("channels, heads", [(48, 3), (64, 4), (8, 1), (33, 1), (100, 5)])

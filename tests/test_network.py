@@ -27,7 +27,8 @@ from octformer.network import (
     train_toy,
     BlockParams,
 )
-from octformer.octree import QuantizedCloud, build_octree, init_leaf_features
+from octformer.octconv import conv_indices
+from octformer.octree import QuantizedCloud, Taps, build_octree, init_leaf_features
 from octformer.partition import AttentionParams, make_plan, windowed_attention
 from octformer.synthetic import two_spheres_dataset
 
@@ -853,6 +854,49 @@ def test_fpn_head_without_tape_keeps_one_full_size_array():
     assert peak < 2 * n * f * 4
     assert got.tobytes() == want.tobytes()
     assert pyramid.levels == [None] * 4  # spent
+
+
+def _held_arrays(obj):
+    """Every ndarray reachable from ``obj`` through containers, dataclasses and
+    array bases."""
+    if isinstance(obj, np.ndarray):
+        return [obj] + (_held_arrays(obj.base) if obj.base is not None else [])
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif dataclasses.is_dataclass(obj):
+        obj = list(vars(obj).values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _held_arrays(item)]
+    return []
+
+
+def test_forward_caches_tap_pairs_and_no_tap_table(monkeypatch):
+    """After an untaped forward the octree holds each conv footprint as
+    ``Taps``, its per-tap pairs, and no (n_out, taps) array; ``conv_indices``
+    builds the table anew from them, for every footprint."""
+    trees = []
+
+    def build_and_keep(cloud):
+        trees.append(build_octree(cloud))
+        return trees[-1]
+
+    monkeypatch.setattr(network, "build_octree", build_and_keep)
+    segment_logits(sphere_cloud(300, seed=7), init_model(tiny_config(), seed=6))
+    (tree,) = trees
+
+    def assert_pairs_only():
+        assert tree._taps and all(type(t) is Taps for t in tree._taps.values())
+        shapes = {t.shape for t in tree._taps.values()}
+        assert not [a.shape for a in _held_arrays(tree) if a.shape in shapes]
+
+    assert_pairs_only()
+    for kernel, stride in ((3, 1), (2, 1), (3, 2), (2, 2)):
+        taps = tree.tap_table(7, kernel, stride)
+        table = conv_indices(tree, 7, kernel, stride)
+        assert table.dtype == np.int32 and not table.flags.writeable
+        assert np.array_equal(table, taps.table())
+        assert tree.tap_table(7, kernel, stride) is taps
+    assert_pairs_only()
 
 
 def test_chunked_attention_without_tape_keeps_no_full_score_array():

@@ -165,14 +165,14 @@ def test_neighbor_indices_identity_column():
     rng = np.random.default_rng(9)
     cloud = random_cloud(rng, n=100, depth=4)
     tree = build_octree(cloud)
-    idx = tree.tap_table(4, kernel=3, stride=1)
+    idx = tree.tap_table(4, kernel=3, stride=1).table()
     assert np.array_equal(idx[:, 13], np.arange(tree.node_count(4)))
 
 
 def test_neighbor_indices_isolated_node():
     cloud = QuantizedCloud(np.array([[0.5, 0.5, 0.5]]), 4)
     tree = build_octree(cloud)
-    idx = tree.tap_table(4, kernel=3, stride=1)
+    idx = tree.tap_table(4, kernel=3, stride=1).table()
     assert (np.delete(idx, 13, axis=1) == -1).all()  # every tap but the center
 
 
@@ -181,7 +181,7 @@ def test_neighbor_indices_dense_grid_matches_dict():
     tree = build_octree(full_grid_cloud(depth))
     offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
                for dz in (-1, 0, 1)]
-    idx = tree.tap_table(depth, kernel=3, stride=1)
+    idx = tree.tap_table(depth, kernel=3, stride=1).table()
     coords = tree.coords(depth)
     lookup = {tuple(c): i for i, c in enumerate(coords.tolist())}
     lim = 1 << depth
@@ -202,7 +202,8 @@ def test_neighbor_indices_dense_grid_matches_dict():
 def test_tap_table_properties(seed, n, depth, kernel_stride):
     kernel, stride = kernel_stride
     tree = build_octree(QuantizedCloud(np.random.default_rng(seed).random((n, 3)), depth))
-    table = tree.tap_table(depth, kernel, stride)
+    taps = tree.tap_table(depth, kernel, stride)
+    table = taps.table()
 
     lookup = {tuple(c): i for i, c in enumerate(tree.coords(depth).tolist())}
     anchors = (stride * tree.coords(depth + 1 - stride)).tolist()
@@ -213,16 +214,18 @@ def test_tap_table_properties(seed, n, depth, kernel_stride):
     assert table.dtype == np.int32
     assert np.array_equal(table, np.array(expect, dtype=np.int64).reshape(table.shape))
 
-    assert len(table.pairs) == len(offsets)
-    for t, (rows, cols) in enumerate(table.pairs):
+    assert taps.shape == table.shape
+    assert len(taps.pairs) == len(offsets)
+    for t, (rows, cols) in enumerate(taps.pairs):
         present = table[:, t][table[:, t] >= 0]
         assert np.unique(present).size == present.size  # backward relies on this
         assert np.array_equal(rows, np.flatnonzero(table[:, t] >= 0))
+        assert rows.dtype == cols.dtype == np.int32
         assert np.array_equal(cols, present)
 
     tree.neighbors = lambda *args: pytest.fail("cached tap table was rebuilt")
-    assert tree.tap_table(depth, kernel, stride) is table
-    for arr in (table, *table.pairs[0]):
+    assert tree.tap_table(depth, kernel, stride) is taps
+    for arr in (taps.table(), *taps.pairs[0]):
         with pytest.raises(ValueError):
             arr[...] = 0
 
@@ -232,7 +235,7 @@ def test_tap_table_properties(seed, n, depth, kernel_stride):
 def test_tap_table_k3_taps_mirror(seed, n, depth):
     # tap 26 - t has the opposite offset of tap t, so the two are inverse maps
     tree = build_octree(QuantizedCloud(np.random.default_rng(seed).random((n, 3)), depth))
-    table = tree.tap_table(depth, 3, 1)
+    table = tree.tap_table(depth, 3, 1).table()
     for t in range(27):
         rows = np.flatnonzero(table[:, t] >= 0)
         assert np.array_equal(table[table[rows, t], 26 - t], rows)
@@ -253,11 +256,9 @@ def test_tap_table_recurrence_matches_key_search(seed, n, depth, edge_share):
         for kernel, stride in ((3, 1), (2, 1), (3, 2), (2, 2)):
             if d < stride:
                 continue
-            table = tree.tap_table(d, kernel, stride)
+            table = tree.tap_table(d, kernel, stride).table()
             anchors = stride * tree.coords(d + 1 - stride)
             assert np.array_equal(table, tree.neighbors(d, anchors, kernel_offsets(kernel)))
-        if d >= 2:  # the k2 stride-2 table is the by-slot child table, stored once
-            assert np.shares_memory(tree.tap_table(d, 2, 2), tree._children(d - 1))
 
 
 def test_tap_table_rejects_bad_footprint():
