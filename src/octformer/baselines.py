@@ -2,7 +2,9 @@
 
 These exist for correctness cross-checks and efficiency comparisons; they
 run in plain numpy (forward only, no tape) and intentionally avoid the
-batching tricks that make the octree window attention fast.
+batching tricks that make the octree window attention fast. The k-NN
+baseline's neighbours are exact: one cube search around each node, and a
+scan of every node for the few whose neighbours are far.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from . import morton
 from .errors import ShapeError
 from .octree import Octree
 from .partition import AttentionParams
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, row_blocks
 
 GLOBAL_ATTENTION_GUARD = 4096
 
@@ -98,61 +100,57 @@ def _cube_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets[order], d2[order]
 
 
-def knn_indices(octree: Octree, depth: int, k: int,
-                brute_force_below: int = 2048, chunk: int = 8192) -> np.ndarray:
+def knn_indices(octree: Octree, depth: int, k: int) -> np.ndarray:
     """Exact k nearest nodes per node: squared Euclidean distance on cell
-    coordinates, ties broken by key order (node index), self included.
+    coordinates, ties broken by node index, self included.
 
-    Candidates come from expanding cube search over the sorted key array;
-    a query is settled once its k-th distance provably beats everything
-    outside the searched cube.
+    One search. A cube around each query grows a radius at a time while it
+    holds fewer cells than there are nodes; a query is settled once its k-th
+    distance beats every cell outside the cube. Queries still pending when
+    the cube would hold n cells or more (their k-th neighbour is far) scan
+    all n nodes instead, so no search costs more than an all-pairs row.
     """
     coords = octree.coords(depth)
     n = coords.shape[0]
-    if k > n:
-        raise ValueError(f"k_neighbors {k} exceeds node count {n}")
-    if n <= brute_force_below:
-        d2 = ((coords[:, None, :] - coords[None, :, :]).astype(np.float64) ** 2
-              ).sum(axis=2)
-        order = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), d2), axis=1)
-        return order[:, :k].astype(np.int64)
-
-    lim = 1 << depth
-    sentinel = np.iinfo(np.int64).max
-    out = np.full((n, k), -1, dtype=np.int64)
-    # smallest cube that can even hold k candidates
-    radius0 = 1
-    while (2 * radius0 + 1) ** 3 < k:
-        radius0 += 1
-    for start in range(0, n, chunk):
-        pending = np.arange(start, min(start + chunk, n))
-        radius = radius0
-        while pending.size:
-            offsets, d2 = _cube_offsets(radius)
-            hit = octree.neighbors(depth, coords[pending], offsets)
-            # composite sort key: distance first, node index second
-            vals = np.where(hit >= 0, d2 * n + hit, sentinel)
-            enough = (vals < sentinel).sum(axis=1) >= k
-            kth = np.partition(vals, k - 1, axis=1)[:, k - 1]
-            # from radius lim - 1 on, the cube holds every cell of the domain
-            done = enough & ((kth // n < (radius + 1) ** 2) | (radius >= lim - 1))
-            if done.any():
-                top = np.partition(vals[done], k - 1, axis=1)[:, :k]
-                top.sort(axis=1)
-                out[pending[done]] = top % n
-            pending = pending[~done]
-            radius += 1
-            if radius > lim:
-                raise RuntimeError("k-NN shell search exceeded the domain")
+    if not 1 <= k <= n:
+        raise ValueError(f"k_neighbors {k} outside [1, node count {n}]")
+    out = np.empty((n, k), dtype=np.int64)
+    pending = np.arange(n)
+    radius = 1
+    while (2 * radius + 1) ** 3 < k:  # smallest cube that can hold k candidates
+        radius += 1
+    while pending.size and (2 * radius + 1) ** 3 < n:
+        offsets, d2 = _cube_offsets(radius)
+        # composite key d2*n + index: distance first, node index second. The
+        # cube has fewer than n cells, so d2 <= 3r^2 < n and no key overflows.
+        # A key below `bound` is a hit at distance below (r+1)^2, closer than
+        # any cell outside the cube; empty cells get `bound` itself.
+        bound = (radius + 1) ** 2 * n
+        settled = np.zeros(pending.size, dtype=bool)
+        for blk in row_blocks(pending.size, d2.size):
+            rows = pending[blk]
+            hit = octree.neighbors(depth, coords[rows], offsets)
+            top = np.partition(np.where(hit >= 0, d2 * n + hit, bound), k - 1,
+                               axis=1)[:, :k]
+            done = top[:, k - 1] < bound
+            out[rows[done]] = np.sort(top[done], axis=1) % n
+            settled[blk] = done
+        pending = pending[~settled]
+        radius += 1
+    for blk in row_blocks(pending.size, n):
+        rows = pending[blk]
+        d2 = ((coords[rows, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+        out[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return out
 
 
 def knn_sliding_attention(x: Tensor, octree: Octree, depth: int, k_neighbors: int,
-                          params: AttentionParams, chunk: int = 8192) -> Tensor:
+                          params: AttentionParams) -> Tensor:
     """Per-token attention over its k nearest nodes, recomputed per token.
 
     Deliberately shares no computation between overlapping neighborhoods;
-    this is the slow sliding-window baseline.
+    this is the slow sliding-window baseline. Tokens run in
+    :func:`row_blocks` of their (k, C) gathers.
     """
     x = as_tensor(x)
     n = x.shape[0]
@@ -162,11 +160,8 @@ def knn_sliding_attention(x: Tensor, octree: Octree, depth: int, k_neighbors: in
     heads, dh = params.heads, params.head_dim
     proj = heads * dh
     out = np.empty((n, params.w_o.shape[1]), dtype=x.dtype)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        rows = np.arange(start, stop)
-        nbr = neighbors[rows]                       # (m, k)
-        gathered = x.data[nbr]                      # (m, k, C)
+    for rows in row_blocks(n, k_neighbors * x.shape[1]):
+        gathered = x.data[neighbors[rows]]          # (m, k, C)
         m, k, _ = gathered.shape
         q = (x.data[rows] @ params.w_q.data).reshape(m, heads, dh)
         kk = (gathered.reshape(m * k, -1) @ params.w_k.data).reshape(m, k, heads, dh)

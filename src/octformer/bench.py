@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import morton
 from .baselines import (
     GLOBAL_ATTENTION_GUARD,
     cubic_partition,
@@ -61,6 +62,12 @@ class BenchSettings:
             raise ConfigError(f"bench k_neighbors {self.k_neighbors} exceeds size {smallest}")
         if self.trials < 1 or self.warmup < 0:
             raise ConfigError("trials must be >= 1 and warmup >= 0")
+        for name in ("channels", "heads", "point_number", "k_neighbors", "cubic_window"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"bench {name} must be >= 1, got {getattr(self, name)}")
+        if self.depth is not None and not 1 <= self.depth <= morton.MAX_DEPTH:
+            raise ConfigError(f"bench depth must be in [1, {morton.MAX_DEPTH}], "
+                              f"got {self.depth}")
 
 
 @dataclass

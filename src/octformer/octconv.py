@@ -71,12 +71,9 @@ class ConvSpec:
 
     @classmethod
     def init(cls, kernel: int, stride: int, in_channels: int, out_channels: int,
-             rng: np.random.Generator | None, depthwise: bool = False,
-             dtype=None) -> "ConvSpec":
-        taps = kernel**3
-        shape = (taps, in_channels) if depthwise else (taps, in_channels, out_channels)
+             rng: np.random.Generator | None, dtype=None) -> "ConvSpec":
         return cls(kernel, stride, in_channels, out_channels,
-                   init_weight(shape, rng, dtype), depthwise)
+                   init_weight((kernel**3, in_channels, out_channels), rng, dtype))
 
 
 def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> np.ndarray:

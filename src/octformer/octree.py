@@ -31,17 +31,13 @@ class QuantizedCloud:
     """A point cloud normalized into the unit cube, plus octree depth.
 
     ``positions`` are unitless coordinates in [0, 1)^3; the voxel size at
-    the octree's max depth is 1 / 2**depth of the cube edge. ``origin``
-    and ``scale`` record how raw coordinates were normalized so outputs
-    can be mapped back.
+    the octree's max depth is 1 / 2**depth of the cube edge.
     """
 
     positions: np.ndarray
     depth: int
     colors: np.ndarray | None = None
     normals: np.ndarray | None = None
-    origin: np.ndarray | None = None
-    scale: float | None = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)

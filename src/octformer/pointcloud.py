@@ -231,8 +231,7 @@ def normalize_cloud(raw: RawCloud, depth: int,
     colors = raw.colors
     if colors is not None:
         colors = np.clip(colors, 0.0, 1.0)
-    return QuantizedCloud(unit, depth, colors=colors, normals=raw.normals,
-                          origin=origin, scale=scale)
+    return QuantizedCloud(unit, depth, colors=colors, normals=raw.normals)
 
 
 def load_point_cloud(path: str, depth: int,

@@ -239,11 +239,11 @@ CHECKS = [
 ]
 
 
-def run_selftest(write=print) -> bool:
+def run_selftest() -> bool:
     passed_count = 0
     for name, fn in CHECKS:
         passed = fn()
         passed_count += int(passed)
-        write(f"{'PASS' if passed else 'FAIL'} {name}")
-    write(f"selftest: {passed_count}/{len(CHECKS)} passed")
+        print(f"{'PASS' if passed else 'FAIL'} {name}")
+    print(f"selftest: {passed_count}/{len(CHECKS)} passed")
     return passed_count == len(CHECKS)

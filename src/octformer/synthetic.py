@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import morton
+from .errors import ConfigError
 from .network import LabeledCloud
 from .octree import QuantizedCloud
 
@@ -116,11 +117,14 @@ def surface_cells(n_cells: int, depth: int, seed: int) -> np.ndarray:
         pts = _clip_unit(pts)
         cells = np.floor(pts * (1 << depth)).astype(np.int64)
         cells = np.clip(cells, 0, (1 << depth) - 1)
-        new = morton.encode_cells(cells, depth)
-        keys = np.unique(np.concatenate([keys, new]))
+        found = np.unique(np.concatenate([keys, morton.encode_cells(cells, depth)]))
         batch *= 2
-        if batch > 64 * max(n_cells, 1) + 10_000_000:
-            raise RuntimeError("surface sampler failed to reach the cell target")
+        # a batch that finds no new cell has exhausted the spheres' surfaces
+        if found.size < n_cells and (found.size == keys.size
+                                     or batch > 64 * n_cells + 10_000_000):
+            raise ConfigError(f"{n_cells} surface cells asked for at depth {depth}; "
+                              f"the sampler found {found.size}")
+        keys = found
     pick = np.sort(rng.choice(keys.size, size=n_cells, replace=False))
     return keys[pick]
 

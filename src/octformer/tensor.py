@@ -267,24 +267,22 @@ def transpose(t: Tensor, axes) -> Tensor:
     return out
 
 
-def sum_(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(t: Tensor, axis=None) -> Tensor:
     t = as_tensor(t)
-    out = Tensor(t.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(t.data.sum(axis=axis))
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, t.shape).astype(t.dtype),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, t.shape).astype(t.dtype),)
 
     _record(out, (t,), vjp)
     return out
 
 
-def mean_(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean_(t: Tensor, axis=None) -> Tensor:
     t = as_tensor(t)
     count = t.size if axis is None else t.shape[axis]
-    s = sum_(t, axis=axis, keepdims=keepdims)
+    s = sum_(t, axis=axis)
     return mul(s, 1.0 / count)
 
 

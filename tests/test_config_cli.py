@@ -757,6 +757,21 @@ def test_cli_bench_tiny(tmp_path, capsys):
         assert trials == "1"
 
 
+@pytest.mark.parametrize("settings", [
+    {"cubic_window": 0, "variants": ["cubic"]}, {"point_number": 0}, {"channels": 0},
+    {"heads": 0}, {"k_neighbors": 0, "variants": ["knn"]}, {"depth": 40},
+    {"depth": 3}], ids=["cubic_window-0", "point_number-0", "channels-0", "heads-0",
+                        "k_neighbors-0", "depth-40", "depth-3"])
+def test_cli_bench_bad_settings_exit_2_with_one_line(tmp_path, capsys, settings):
+    # depth 3 holds too few surface cells for 300 tokens
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"bench": {"sizes": [300], "trials": 1, "warmup": 0,
+                                              **settings}}))
+    code, _, err = run_cli(capsys, "bench", "--config", str(cfg_path))
+    assert code == cli.EXIT_DATA
+    assert len(err.strip().splitlines()) == 1, err
+
+
 def test_cli_bad_config_is_data_error(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"unknown_section": {}}))

@@ -241,7 +241,6 @@ def test_normalize_fit_bounding_box():
     cloud = normalize_cloud(raw, depth=4)
     assert cloud.positions.min() >= 0
     assert cloud.positions.max() < 1
-    assert np.allclose(cloud.origin, [0, 0, 0])
 
 
 def test_normalize_with_scale():

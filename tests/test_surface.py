@@ -7,6 +7,10 @@ should build what they need from the public surface (``tests/oracles.py``
 holds such helpers) rather than keep it in ``src/``. A name counts as used
 where it appears as a ``Name``, as an ``Attribute`` or as a whole string
 constant (the benchmark's tracer patches names given as strings).
+
+Likewise each defaulted parameter of a public function in ``src/octformer``
+is a knob: some call in a program file must set it, or it is a knob that only
+the tests turn.
 """
 
 import ast
@@ -20,6 +24,13 @@ ALLOWED = {
     "gelu": "the exact GELU reference that tensor.gelu_mlp is checked against",
     "classification_head": "the paper's classification head: README names it and "
                            "its weights are in every checkpoint",
+}
+
+# function.parameter -> why it keeps its default although no program call sets it
+ALLOWED_DEFAULTS = {
+    "make_plan.padded": "the padding-invariance tests and acceptance criterion 3 "
+                        "plan with extra padding windows",
+    "init_model.dtype": "float64 models for the whole-network oracle and gradchecks",
 }
 
 
@@ -73,6 +84,56 @@ def unused_public_names(allowed=ALLOWED) -> list[tuple[str, str]]:
     return unused
 
 
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef, method: bool):
+    """(position or None, name) of each parameter with a default; a method's
+    positions start after its ``self`` or ``cls``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    shift = int(method and not static)
+    yield from ((i - shift, a.arg) for i, a in enumerate(positional) if i >= first)
+    yield from ((None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None)
+
+
+def _sets(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter, by position, keyword or ``*``/``**``."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unset_defaults(allowed=ALLOWED_DEFAULTS) -> list[tuple[str, str]]:
+    """(file:line, function.parameter) of each defaulted parameter of a public
+    function or method in ``src/octformer`` that no program call passes. Calls
+    match by the called name, as ``unused_public_names`` matches uses."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _program_files()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _named(node.func)
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    unset = []
+    for path, tree in trees.items():
+        if ROOT / "src" / "octformer" not in path.parents:
+            continue
+        top = set(tree.body)
+        for d in _definitions(tree):
+            if d.name.startswith("_") or isinstance(d, ast.ClassDef):
+                continue
+            for position, arg in _defaulted(d, method=d not in top):
+                knob = f"{d.name}.{arg}"
+                if knob not in allowed and not any(
+                        _sets(c, position, arg) for c in calls.get(d.name, ())):
+                    unset.append((f"{path.relative_to(ROOT)}:{d.lineno}", knob))
+    return unset
+
+
 def test_every_public_name_in_src_is_used_by_the_program():
     assert unused_public_names() == []
 
@@ -80,3 +141,11 @@ def test_every_public_name_in_src_is_used_by_the_program():
 def test_the_allowlist_holds_only_unused_names():
     """An allowlist entry that the program now names, or that is gone, is stale."""
     assert sorted(name for _, name in unused_public_names(allowed=())) == sorted(ALLOWED)
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    assert unset_defaults() == []
+
+
+def test_the_default_allowlist_holds_only_unset_parameters():
+    assert sorted(knob for _, knob in unset_defaults(allowed=())) == sorted(ALLOWED_DEFAULTS)
