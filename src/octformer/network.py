@@ -6,10 +6,17 @@ downsample between stages (channels double except into the last stage).
 The four per-stage outputs form a feature pyramid consumed by either a
 segmentation head (top-down merge + per-point classifier) or a global
 average classification head.
+
+A model that :func:`load_checkpoint` returns keeps its parameters in the
+checkpoint file. The forward reads a module's parameters when it reaches the
+module (the embedding, each block, each downsample, the segmentation head)
+and drops them after it (:func:`resident`), so it holds one module's weights
+at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -41,6 +48,7 @@ from .tensor import (
     fill_rows,
     gather_rows,
     gelu_mlp,
+    init_weight,
     linear,
     linear_add_rows,
     linear_relu,
@@ -355,16 +363,19 @@ def backbone_apply(octree: Octree, feats: Tensor, config: NetworkConfig,
     if embed_depth < octree.depth:
         feats = pool_to_depth(octree, feats, octree.depth, embed_depth)
 
-    x = embedding_stack(feats, octree, embed_depth, backbone.embedding, training)
+    with resident(backbone.embedding):
+        x = embedding_stack(feats, octree, embed_depth, backbone.embedding, training)
     depth = embed_depth - 2
     levels, depths = [], []
     for i, stage in enumerate(backbone.stages):
         for block in stage.blocks:
-            x = octformer_block(x, octree, depth, block, config.point_number, training)
+            with resident(block):
+                x = octformer_block(x, octree, depth, block, config.point_number, training)
         levels.append(x)
         depths.append(depth)
         if stage.down is not None:
-            x = downsample(x, octree, depth, stage.down, training)
+            with resident(stage.down):
+                x = downsample(x, octree, depth, stage.down, training)
             depth -= 1
     return FeaturePyramid(levels, depths)
 
@@ -437,7 +448,8 @@ def segment_logits(cloud: QuantizedCloud, model: ModelParams,
     feats = init_leaf_features(octree, cloud, **model.config.feature_flags())
     feats = feats.astype(model.backbone.embedding.modules[0].conv.weights.dtype)
     pyramid = backbone_apply(octree, feats, model.config, model.backbone, training)
-    return fpn_segmentation_head(pyramid, octree, model.seg_head)
+    with resident(model.seg_head):
+        return fpn_segmentation_head(pyramid, octree, model.seg_head)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +461,77 @@ _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.float32, 1: np.float64}
 
 
+@dataclass(frozen=True)
+class _Stored:
+    """Where a loaded parameter's values lie: the checkpoint file at ``path``
+    as it was when loaded (``identity``, see :func:`_identity`) and the byte
+    offset of the values."""
+
+    path: str
+    identity: tuple[int, int, int]
+    offset: int
+
+
+def _identity(f) -> tuple[int, int, int]:
+    """Inode, size and mtime of the open file ``f``."""
+    st = os.fstat(f.fileno())
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_stored(t: Tensor) -> np.ndarray:
+    """The values of the stored tensor ``t``, read into a fresh, aligned,
+    writeable array of its placeholder's shape and dtype. A file changed since
+    it was loaded, a short read or a non-finite value is a DataError."""
+    path, offset = t.stored.path, t.stored.offset
+    with open(path, "rb") as f:
+        if _identity(f) != t.stored.identity:
+            raise DataError(f"{path}: checkpoint changed since it was loaded")
+        # aligned, unlike a view into one file buffer: numpy's matmul skips
+        # BLAS for unaligned arrays
+        arr = np.empty(t.shape, t.dtype.newbyteorder("<"))
+        f.seek(offset)
+        if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise DataError(f"{path}: truncated checkpoint")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: non-finite value at byte {offset}")
+    return arr.astype(t.dtype, copy=False)
+
+
+@contextlib.contextmanager
+def resident(params):
+    """Hold the parameters of the tree ``params`` that a checkpoint file
+    stores (see :func:`load_checkpoint`) in memory for the ``with`` body.
+
+    Without a tape each goes back to its placeholder on exit, so a forward
+    that wraps each module holds one module's weights at a time. Under a tape
+    a stored parameter is read once and stays in memory for good, its record
+    forgotten: the vjps read its values at backward time, and no later read
+    overwrites what an optimizer writes. A tree with nothing stored (an
+    :func:`init_model` model) is left as it is.
+    """
+    stored = [t for _, t, kind in named_tensors(params)
+              if kind == "param" and t.stored is not None]
+    placeholders = [t.data for t in stored]
+    for t, arr in zip(stored, [_read_stored(t) for t in stored]):
+        t.data = arr
+    if taping():
+        for t in stored:
+            t.stored = None
+        stored = []
+    try:
+        yield
+    finally:
+        for t, placeholder in zip(stored, placeholders):
+            t.data = placeholder
+
+
 def save_checkpoint(path: str, model: ModelParams) -> None:
+    """Write ``model`` as an OFCK file. A loaded model is read in whole before
+    the file is opened, so it can be saved over its own file; its next read
+    then finds that file changed, which is a DataError."""
     cfg = dataclasses.asdict(model.config)
     cfg_bytes = json.dumps(cfg, sort_keys=True).encode()
-    with open(path, "wb") as f:
+    with resident(model), open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<I", CKPT_VERSION))
         f.write(struct.pack("<I", len(cfg_bytes)))
@@ -465,7 +544,7 @@ def save_checkpoint(path: str, model: ModelParams) -> None:
             f.write(struct.pack("<B", _DTYPE_TAGS[np.dtype(arr.dtype)]))
             f.write(struct.pack("<I", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+            f.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).data)
 
 
 def load_checkpoint(path: str) -> ModelParams:
@@ -474,11 +553,17 @@ def load_checkpoint(path: str) -> ModelParams:
     summed module by module, so a config that wants more than the file holds
     stops early); then each record's length, dtype tag, name, shape and
     finite values, and that no record is missing. Nothing is drawn from an
-    RNG. The config JSON gets the run config's key and value type checks."""
+    RNG. The config JSON gets the run config's key and value type checks.
+
+    Each record's values are read once, to be checked, through one scratch
+    buffer. Batch-norm statistics are filled in; each parameter keeps only
+    where its values lie, with a read-only zero-stride placeholder of the
+    record's shape and dtype as its data, until :func:`resident` reads it."""
     from .config import _from_dict  # config imports this module
 
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+        identity = _identity(f)
+        size = identity[1]
 
         def read(n: int, fmt: str | None = None):
             """Exactly ``n`` bytes, unpacked with ``fmt`` if given. ``n`` comes
@@ -512,7 +597,8 @@ def load_checkpoint(path: str) -> ModelParams:
             modules.append(module)
         model = _assemble_model(config, modules)
         expected = {name: (value, kind) for name, value, kind in named_tensors(model)}
-        seen = set()
+        seen, scratch = set(), np.empty(0, np.uint8)
+        where = os.path.abspath(path)  # a later read may run in another cwd
         while f.tell() < size:
             name = read(*read(4, "<I")).decode(errors="replace")  # length-prefixed
             tag, ndim = read(5, "<BI")
@@ -525,15 +611,17 @@ def load_checkpoint(path: str) -> ModelParams:
             if value.shape != shape:
                 raise DataError(f"shape mismatch for {name!r}")
             dtype = np.dtype(_TAG_DTYPES[tag])
-            # read straight into an aligned array: a view into one file buffer
-            # would be unaligned, and numpy's matmul skips BLAS for those
-            arr = np.empty(shape, dtype=dtype.newbyteorder("<"))
-            if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            offset, nbytes = f.tell(), math.prod(shape) * dtype.itemsize
+            if nbytes > scratch.nbytes:
+                scratch = np.empty(nbytes, np.uint8)
+            if f.readinto(scratch[:nbytes]) != nbytes:
                 raise DataError(f"{path}: truncated checkpoint")
+            arr = scratch[:nbytes].view(dtype.newbyteorder("<")).reshape(shape)
             if not np.isfinite(arr).all():
                 raise DataError(f"{path}: non-finite value in record {name!r}")
             if kind == "param":
-                value.data = arr.astype(dtype, copy=False)
+                value.data = init_weight(shape, None, dtype).data
+                value.stored = _Stored(where, identity, offset)
             else:
                 value[...] = arr
             seen.add(name)

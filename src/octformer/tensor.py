@@ -61,9 +61,14 @@ IGNORE_INDEX = -1  # label that the loss (and the network's accuracy) skips
 
 
 class Tensor:
-    """Row-major float array with shape metadata; the unit of computation."""
+    """Row-major float array with shape metadata; the unit of computation.
 
-    __slots__ = ("data",)
+    ``stored`` is None, except on a parameter whose values a checkpoint file
+    holds: ``data`` is then a placeholder of the right shape and dtype, and
+    ``stored`` says where the values are (see ``network.resident``).
+    """
+
+    __slots__ = ("data", "stored")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data)
@@ -72,6 +77,7 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
+        self.stored = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -631,13 +637,13 @@ def trunc_normal(shape, std: float, rng: np.random.Generator, dtype=None) -> Ten
     """Normal(0, std) clipped at 2 std; the usual transformer weight init."""
     dt = dtype or DEFAULT_DTYPE
     v = rng.normal(0.0, std, size=shape)
-    return Tensor(np.clip(v, -2.0 * std, 2.0 * std).astype(dt))
+    return Tensor(np.clip(v, -2.0 * std, 2.0 * std, out=v).astype(dt))
 
 
 def init_weight(shape, rng: np.random.Generator | None, dtype=None) -> Tensor:
     """A :func:`trunc_normal` draw at ``INIT_STD``; with ``rng`` None, a read-only
-    zero-stride placeholder of that shape and dtype (no RNG, no memory) for a
-    loader to fill."""
+    zero-stride placeholder of that shape and dtype (no RNG, no memory) for
+    values that a checkpoint file holds."""
     if rng is None:
         return Tensor(np.broadcast_to(np.zeros((), dtype or DEFAULT_DTYPE), shape))
     return trunc_normal(shape, INIT_STD, rng, dtype)
@@ -685,9 +691,11 @@ def row_blocks(n: int, width: int, elements: int | None = None) -> list[slice]:
     ``MLP_BLOCK_ELEMENTS``) each.
 
     Equal, so that no block is much shorter than the rest: BLAS may pick
-    another kernel (and summation order) for a few rows than for many.
+    another kernel (and summation order) for a few rows than for many. There
+    are at most n blocks, so none is empty: a row wider than the budget is a
+    block of its own. Zero rows are one empty block.
     """
-    blocks = max(1, -(-n * width // (elements or MLP_BLOCK_ELEMENTS)))
+    blocks = max(1, min(n, -(-n * width // (elements or MLP_BLOCK_ELEMENTS))))
     return [slice(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
 
 

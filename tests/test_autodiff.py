@@ -652,6 +652,23 @@ def test_gelu_mlp_without_tape_keeps_no_full_hidden_array(dtype):
     assert peak < n * 4 * c * np.dtype(dtype).itemsize
 
 
+@given(n=st.integers(0, 300), width=st.integers(1, 2000), elements=st.integers(64, 10**5))
+@settings(max_examples=200, deadline=None)
+def test_row_blocks_cover_the_rows_in_order_with_no_empty_block(n, width, elements):
+    """At most n blocks: for n >= 1 none is empty, the blocks cover 0..n in
+    order, and they are the non-empty blocks of the uncapped count."""
+    blocks = T.row_blocks(n, width, elements)
+    if n == 0:
+        assert blocks == [slice(0, 0)]
+        return
+    assert all(b.stop > b.start for b in blocks)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    uncapped = max(1, -(-n * width // elements))
+    old = [slice(n * i // uncapped, n * (i + 1) // uncapped) for i in range(uncapped)]
+    assert blocks == [b for b in old if b.stop > b.start]
+
+
 def test_gelu_mlp_shape_error():
     fc1, fc2 = _mlp_params(rng(26), 4, 16, np.float64)
     for shape in ((5, 3), (2, 5, 4), (4,)):

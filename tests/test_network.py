@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from octformer.network import (
     named_tensors,
     octformer_block,
     point_ancestor_index,
+    resident,
     save_checkpoint,
     segment_logits,
     trainable_parameters,
@@ -514,13 +516,14 @@ def test_load_checkpoint_reads_without_rng(tmp_path, monkeypatch, config):
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     restored = load_checkpoint(path)
     saved = list(named_tensors(model))
-    loaded = list(named_tensors(restored))
-    assert [n for n, _, _ in loaded] == [n for n, _, _ in saved]
-    for (name, want, kind), (_, got, _) in zip(saved, loaded):
-        want, got = (want.data, got.data) if kind == "param" else (want, got)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
-        assert got.flags.writeable and got.flags.aligned, name
+    with resident(restored):
+        loaded = list(named_tensors(restored))
+        assert [n for n, _, _ in loaded] == [n for n, _, _ in saved]
+        for (name, want, kind), (_, got, _) in zip(saved, loaded):
+            want, got = (want.data, got.data) if kind == "param" else (want, got)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert got.flags.writeable and got.flags.aligned, name
 
 
 def test_load_checkpoint_stops_at_a_config_larger_than_the_file(tmp_path):
@@ -535,6 +538,106 @@ def test_load_checkpoint_stops_at_a_config_larger_than_the_file(tmp_path):
                      + data[12 + cfg_len:])
     with pytest.raises(DataError, match="truncated checkpoint: its config needs"):
         load_checkpoint(str(path))
+
+
+def _placeholders(model) -> bool:
+    """Whether every parameter of ``model`` is a zero-stride placeholder."""
+    return all(not any(p.data.strides) for _, p in trainable_parameters(model))
+
+
+def test_segment_holds_one_module_of_a_loaded_model_at_a_time(tmp_path):
+    """``segment`` with a ``small`` checkpoint (72.3 MiB of float32 weights) on
+    a 2,000-point cloud peaks at under a quarter of the weights."""
+    import tracemalloc
+
+    from octformer import cli, pointcloud
+
+    sample = two_spheres_dataset(1, 2000, depth=7, seed=0)[0]
+    xyz, ckpt = str(tmp_path / "cloud.xyz"), str(tmp_path / "small.ofck")
+    pointcloud.write_points(xyz, pointcloud.RawCloud(sample.cloud.positions,
+                                                     sample.cloud.colors))
+    config = NetworkConfig.preset("small", octree_depth=7, num_classes=2)
+    save_checkpoint(ckpt, init_model(config, seed=0))
+    weights = sum(p.data.nbytes for _, p in trainable_parameters(load_checkpoint(ckpt)))
+    assert weights > 72 * 2**20
+    tracemalloc.start()
+    try:
+        code = cli.main(["segment", xyz, "--ckpt", ckpt, "--out", str(tmp_path / "l.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 18 * 2**20
+
+
+@pytest.mark.parametrize("change", ["replaced", "truncated", "touched"])
+def test_a_checkpoint_changed_after_loading_is_a_data_error(tmp_path, change):
+    cloud = sphere_cloud(300, depth=7, seed=17)
+    path = str(tmp_path / "model.ofck")
+    save_checkpoint(path, init_model(tiny_config(), seed=4))
+    model = load_checkpoint(path)
+    if change == "replaced":  # the same bytes in a new file: another inode
+        save_checkpoint(path + ".new", init_model(tiny_config(), seed=4))
+        os.replace(path + ".new", path)
+    elif change == "truncated":
+        os.truncate(path, os.path.getsize(path) - 4)
+    else:
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    with pytest.raises(DataError, match="changed since it was loaded"):
+        segment_logits(cloud, model, training=False)
+
+
+def test_saving_a_loaded_model_over_its_own_file_keeps_its_bytes(tmp_path):
+    model = init_model(tiny_config(), seed=4)
+    backbone_forward(sphere_cloud(300, depth=7, seed=17), model.config, model.backbone,
+                     training=True)  # non-trivial running statistics
+    path = tmp_path / "model.ofck"
+    save_checkpoint(str(path), model)
+    data = path.read_bytes()
+    save_checkpoint(str(path), load_checkpoint(str(path)))
+    assert path.read_bytes() == data
+
+
+def test_a_float64_checkpoint_loads_float64_placeholders(tmp_path):
+    cloud = sphere_cloud(300, depth=7, seed=17)
+    model = init_model(tiny_config(), seed=4, dtype=np.float64)
+    path = str(tmp_path / "model.ofck")
+    save_checkpoint(path, model)
+    restored = load_checkpoint(path)
+    params = trainable_parameters(restored)
+    assert all(p.dtype == np.float64 and not p.data.flags.writeable for _, p in params)
+    assert _placeholders(restored)
+    got = segment_logits(cloud, restored, training=False).data
+    assert _placeholders(restored)  # the forward dropped every module's weights
+    want = segment_logits(cloud, model, training=False).data
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+def test_a_taped_loaded_model_has_the_in_memory_gradients(tmp_path):
+    """Under a tape each stored parameter is read once and stays: the vjps
+    read the weights at backward time."""
+    cfg = tiny_config(num_classes=2)
+    cloud = sphere_cloud(300, depth=7, seed=17)
+    labels = (cloud.positions[:, 0] > 0.5).astype(np.int64)
+    model = init_model(cfg, seed=4)
+    path = str(tmp_path / "model.ofck")
+    save_checkpoint(path, model)
+    restored = load_checkpoint(path)
+
+    def gradients(m):
+        with T.Tape() as tape:
+            loss = T.cross_entropy(segment_logits(cloud, m, training=True), labels)
+        T.backward(tape, loss)
+        return [tape.grad(p) for _, p in trainable_parameters(m.backbone)
+                + trainable_parameters(m.seg_head)]
+
+    want, got = gradients(model), gradients(restored)
+    assert all(p.stored is None for _, p in trainable_parameters(restored.backbone))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert any(np.any(g) for g in got)
 
 
 # -- training -----------------------------------------------------------------------
