@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import morton
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .octree import Octree
 from .partition import AttentionParams
 from .tensor import Tensor, as_tensor, row_blocks
@@ -43,7 +43,7 @@ def global_attention(x: Tensor, params: AttentionParams) -> Tensor:
     x = as_tensor(x)
     n = x.shape[0]
     if n > GLOBAL_ATTENTION_GUARD:
-        raise ResourceWarning(
+        raise ConfigError(
             f"global attention guarded at N <= {GLOBAL_ATTENTION_GUARD}, got {n}")
     q = x.data @ params.w_q.data
     k = x.data @ params.w_k.data

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import morton
 from .baselines import (
-    GLOBAL_ATTENTION_GUARD,
     cubic_partition,
     cubic_window_attention,
     global_attention,
@@ -99,10 +98,6 @@ def _make_runner(variant: str, n: int, cfg: BenchSettings):
         def run():
             return knn_sliding_attention(x, octree, depth, cfg.k_neighbors, params)
     elif variant == "global":
-        if n > GLOBAL_ATTENTION_GUARD:
-            raise ConfigError(
-                f"global variant guarded at N <= {GLOBAL_ATTENTION_GUARD}")
-
         def run():
             return global_attention(x, params)
     else:

@@ -146,10 +146,10 @@ class MlpParams:
     fc2: LinearParams
 
     @classmethod
-    def init(cls, channels: int, ratio: int, rng, dtype=None) -> "MlpParams":
+    def init(cls, channels: int, ratio: int, rng) -> "MlpParams":
         hidden = channels * ratio
-        return cls(LinearParams.init(channels, hidden, rng, dtype=dtype),
-                   LinearParams.init(hidden, channels, rng, dtype=dtype))
+        return cls(LinearParams.init(channels, hidden, rng),
+                   LinearParams.init(hidden, channels, rng))
 
 
 @dataclass
@@ -162,14 +162,14 @@ class BlockParams:
     dilation: int
 
     @classmethod
-    def init(cls, channels: int, heads: int, ratio: int, dilation: int, rng,
-             dtype=None) -> "BlockParams":
+    def init(cls, channels: int, heads: int, ratio: int, dilation: int,
+             rng) -> "BlockParams":
         return cls(
-            cpe=CpeParams.init(channels, dtype=dtype),
-            ln1=LayerNormParams.init(channels, dtype=dtype),
-            attn=AttentionParams.init(channels, heads, rng, dtype=dtype),
-            ln2=LayerNormParams.init(channels, dtype=dtype),
-            mlp=MlpParams.init(channels, ratio, rng, dtype=dtype),
+            cpe=CpeParams.init(channels),
+            ln1=LayerNormParams.init(channels),
+            attn=AttentionParams.init(channels, heads, rng),
+            ln2=LayerNormParams.init(channels),
+            mlp=MlpParams.init(channels, ratio, rng),
             dilation=dilation,
         )
 
@@ -207,25 +207,25 @@ class ModelParams:
     cls_head: ClsHeadParams
 
 
-def _module_params(config: NetworkConfig, rng, dtype=None):
+def _module_params(config: NetworkConfig, rng):
     """Every module's parameters, in init order (which is RNG draw order and
     checkpoint order): embedding, per stage its blocks then its downsample,
     then the heads. With ``rng`` None each weight is a placeholder."""
     widths = config.stage_channels
-    yield EmbeddingParams.init(config.in_channels, config.channels, rng, dtype=dtype)
+    yield EmbeddingParams.init(config.in_channels, config.channels, rng)
     for i, c in enumerate(widths):
         for b in range(config.blocks[i]):
             yield BlockParams.init(c, config.heads(c), config.mlp_ratio,
-                                   1 if b % 2 == 0 else config.dilation, rng, dtype=dtype)
+                                   1 if b % 2 == 0 else config.dilation, rng)
         if i < 3:
-            yield ConvBnParams.init(2, 2, c, widths[i + 1], rng, dtype)
+            yield ConvBnParams.init(2, 2, c, widths[i + 1], rng)
     f = config.fpn_channels
     for c in widths:
-        yield LinearParams.init(c, f, rng, dtype=dtype)
-    yield ConvSpec.init(3, 1, f, f, rng, dtype=dtype)
-    yield LinearParams.init(f, config.head_hidden, rng, dtype=dtype)
-    yield LinearParams.init(config.head_hidden, config.num_classes, rng, dtype=dtype)
-    yield LinearParams.init(widths[-1], config.num_classes, rng, dtype=dtype)
+        yield LinearParams.init(c, f, rng)
+    yield ConvSpec.init(3, 1, f, f, rng)
+    yield LinearParams.init(f, config.head_hidden, rng)
+    yield LinearParams.init(config.head_hidden, config.num_classes, rng)
+    yield LinearParams.init(widths[-1], config.num_classes, rng)
 
 
 def _assemble_model(config: NetworkConfig, modules) -> ModelParams:
@@ -240,9 +240,9 @@ def _assemble_model(config: NetworkConfig, modules) -> ModelParams:
                        ClsHeadParams(next(modules)))
 
 
-def init_model(config: NetworkConfig, seed: int = 0, dtype=None) -> ModelParams:
-    return _assemble_model(config, _module_params(config, np.random.default_rng(seed),
-                                                  dtype))
+def init_model(config: NetworkConfig, seed: int = 0) -> ModelParams:
+    """A freshly drawn model; its parameters are ``DEFAULT_DTYPE``."""
+    return _assemble_model(config, _module_params(config, np.random.default_rng(seed)))
 
 
 def named_tensors(obj, prefix: str = ""):

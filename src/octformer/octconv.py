@@ -71,9 +71,9 @@ class ConvSpec:
 
     @classmethod
     def init(cls, kernel: int, stride: int, in_channels: int, out_channels: int,
-             rng: np.random.Generator | None, dtype=None) -> "ConvSpec":
+             rng: np.random.Generator | None) -> "ConvSpec":
         return cls(kernel, stride, in_channels, out_channels,
-                   init_weight((kernel**3, in_channels, out_channels), rng, dtype))
+                   init_weight((kernel**3, in_channels, out_channels), rng))
 
 
 def conv_indices(octree: Octree, depth: int, kernel: int, stride: int) -> np.ndarray:
@@ -162,9 +162,9 @@ class ConvBnParams:
 
     @classmethod
     def init(cls, kernel: int, stride: int, in_channels: int, out_channels: int,
-             rng: np.random.Generator | None, dtype=None) -> "ConvBnParams":
-        conv = ConvSpec.init(kernel, stride, in_channels, out_channels, rng, dtype=dtype)
-        return cls(conv, BatchNormState.create(out_channels, dtype=dtype))
+             rng: np.random.Generator | None) -> "ConvBnParams":
+        conv = ConvSpec.init(kernel, stride, in_channels, out_channels, rng)
+        return cls(conv, BatchNormState.create(out_channels))
 
 
 @dataclass
@@ -177,12 +177,12 @@ class EmbeddingParams:
     STRIDES = (1, 2, 1, 2, 1)
 
     @classmethod
-    def init(cls, in_channels: int, channels: int, rng: np.random.Generator,
-             dtype=None) -> "EmbeddingParams":
+    def init(cls, in_channels: int, channels: int,
+             rng: np.random.Generator | None) -> "EmbeddingParams":
         modules = []
         c_in = in_channels
         for kernel, stride in zip(cls.KERNELS, cls.STRIDES):
-            modules.append(ConvBnParams.init(kernel, stride, c_in, channels, rng, dtype))
+            modules.append(ConvBnParams.init(kernel, stride, c_in, channels, rng))
             c_in = channels
         return cls(modules)
 

@@ -42,13 +42,21 @@ class PartitionPlan:
     Padded-sequence position ``span*k*d + i*d + j`` (0 <= i < k, 0 <= j < d)
     lands in window ``span*d + j``, slot ``i``: reshape to (spans, k, d),
     swap the last two axes, reshape to (b, k). For d == 1 this is plain
-    chunking. Positions >= n are padding.
+    chunking. Positions >= n are padding. ``padded`` is a multiple of k*d,
+    at least the minimal one (:func:`make_plan`); windows past the minimal
+    plan's are fully masked.
     """
 
     n: int
     k: int
     d: int
     padded: int
+
+    def __post_init__(self):
+        minimal = filter_and_pad_count(self.n, self.k, self.d)
+        if self.padded < minimal or self.padded % (self.k * self.d) != 0:
+            raise ValueError(f"padded must be a multiple of {self.k * self.d} "
+                             f"and >= {minimal}, got {self.padded}")
 
     @property
     def b(self) -> int:
@@ -76,21 +84,10 @@ class PartitionPlan:
         return self.from_windows(np.arange(self.padded).reshape(self.b, self.k) // self.k)
 
 
-def make_plan(n: int, k: int, d: int, padded: int | None = None) -> PartitionPlan:
-    """Build the partition for n tokens, point number k, dilation d.
-
-    ``padded`` defaults to the minimal multiple of k*d covering n; larger
-    multiples are accepted (the extra windows are fully masked), which the
-    padding-invariance tests exploit.
-    """
-    if k < 1 or d < 1 or n < 0:
-        raise ValueError("need k >= 1, d >= 1, n >= 0")
-    minimal = filter_and_pad_count(n, k, d)
-    if padded is None:
-        padded = minimal
-    elif padded < minimal or padded % (k * d) != 0:
-        raise ValueError(f"padded must be a multiple of {k * d} and >= {minimal}")
-    return PartitionPlan(n=n, k=k, d=d, padded=padded)
+def make_plan(n: int, k: int, d: int) -> PartitionPlan:
+    """The minimal partition of n tokens, point number k, dilation d: padded
+    to the smallest multiple of k*d covering n."""
+    return PartitionPlan(n, k, d, filter_and_pad_count(n, k, d))
 
 
 def apply_plan(x: Tensor, plan: PartitionPlan) -> Tensor:
@@ -194,10 +191,9 @@ class CpeParams:
     bn: BatchNormState
 
     @classmethod
-    def init(cls, channels: int, dtype=None) -> "CpeParams":
-        dt = dtype or DEFAULT_DTYPE
-        return cls(Tensor(np.zeros((27, channels), dtype=dt)),
-                   BatchNormState.create(channels, dtype=dt))
+    def init(cls, channels: int) -> "CpeParams":
+        return cls(Tensor(np.zeros((27, channels), dtype=DEFAULT_DTYPE)),
+                   BatchNormState.create(channels))
 
 
 def conditional_positional_encoding(x: Tensor, octree: Octree, depth: int,

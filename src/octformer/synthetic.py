@@ -81,6 +81,12 @@ def octant_task_cloud(points_per_octant: int, depth: int, seed: int) -> LabeledC
     return LabeledCloud(QuantizedCloud(positions, depth, colors=colors), labels)
 
 
+def _surface_radius(n_cells: int, depth: int) -> float:
+    """Sphere radius at which the union of ``SURFACE_SPHERES`` surfaces holds
+    ~1.4x ``n_cells`` cells of the given depth."""
+    return np.sqrt(1.4 * n_cells / (4 * np.pi * SURFACE_SPHERES * 4.0**depth))
+
+
 def surface_depth(n_cells: int) -> int:
     """Octree depth at which ``n_cells`` surface cells stay locally dense.
 
@@ -88,8 +94,7 @@ def surface_depth(n_cells: int) -> int:
     surface holds ~1.4x the requested cells) still fit inside the cube.
     """
     for depth in range(6, 22):
-        r = np.sqrt(1.4 * n_cells / (4 * np.pi * SURFACE_SPHERES * 4.0**depth))
-        if r <= 0.22:
+        if _surface_radius(n_cells, depth) <= 0.22:
             return depth
     raise ValueError("cell target too large")
 
@@ -103,8 +108,7 @@ def surface_cells(n_cells: int, depth: int, seed: int) -> np.ndarray:
     way scanned surfaces are.
     """
     rng = np.random.default_rng(seed)
-    base_r = np.sqrt(1.4 * n_cells / (4 * np.pi * SURFACE_SPHERES * 4.0**depth))
-    base_r = min(max(base_r, 2.0 / (1 << depth)), 0.22)
+    base_r = min(max(_surface_radius(n_cells, depth), 2.0 / (1 << depth)), 0.22)
     radii = base_r * rng.uniform(0.8, 1.2, size=SURFACE_SPHERES)
     radii = np.clip(radii, 2.0 / (1 << depth), 0.22)
     lo, hi = 0.05 + radii, 0.95 - radii

@@ -560,11 +560,10 @@ class BatchNormState:
     running_var: np.ndarray
 
     @classmethod
-    def create(cls, channels: int, dtype=None) -> "BatchNormState":
-        dt = dtype or DEFAULT_DTYPE
+    def create(cls, channels: int) -> "BatchNormState":
         return cls(
-            gamma=Tensor(np.ones(channels, dtype=dt)),
-            beta=Tensor(np.zeros(channels, dtype=dt)),
+            gamma=Tensor(np.ones(channels, dtype=DEFAULT_DTYPE)),
+            beta=Tensor(np.zeros(channels, dtype=DEFAULT_DTYPE)),
             running_mean=np.zeros(channels, dtype=np.float64),
             running_var=np.ones(channels, dtype=np.float64),
         )
@@ -652,14 +651,13 @@ def init_weight(shape, rng: np.random.Generator | None, dtype=None) -> Tensor:
 @dataclass
 class LinearParams:
     weight: Tensor  # (in, out)
-    bias: Tensor | None = None
+    bias: Tensor  # (out,)
 
     @classmethod
-    def init(cls, fan_in: int, fan_out: int, rng: np.random.Generator | None,
-             dtype=None) -> "LinearParams":
-        dt = dtype or DEFAULT_DTYPE
-        return cls(init_weight((fan_in, fan_out), rng, dt),
-                   Tensor(np.zeros(fan_out, dtype=dt)))
+    def init(cls, fan_in: int, fan_out: int,
+             rng: np.random.Generator | None) -> "LinearParams":
+        return cls(init_weight((fan_in, fan_out), rng),
+                   Tensor(np.zeros(fan_out, dtype=DEFAULT_DTYPE)))
 
 
 def _affine(x: Tensor, p: LinearParams):
@@ -669,8 +667,6 @@ def _affine(x: Tensor, p: LinearParams):
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear wants (N, {w.shape[0]}) input, got {x.shape}")
     out = np.matmul(x.data, w.data)
-    if p.bias is None:
-        return out, (x, w), lambda g: (g @ w.data.T, x.data.T @ g)
     out += p.bias.data
     return out, (x, w, p.bias), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
 
@@ -813,10 +809,9 @@ class LayerNormParams:
     beta: Tensor
 
     @classmethod
-    def init(cls, channels: int, dtype=None) -> "LayerNormParams":
-        dt = dtype or DEFAULT_DTYPE
-        return cls(Tensor(np.ones(channels, dtype=dt)),
-                   Tensor(np.zeros(channels, dtype=dt)))
+    def init(cls, channels: int) -> "LayerNormParams":
+        return cls(Tensor(np.ones(channels, dtype=DEFAULT_DTYPE)),
+                   Tensor(np.zeros(channels, dtype=DEFAULT_DTYPE)))
 
 
 def apply_layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:

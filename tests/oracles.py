@@ -402,6 +402,14 @@ def backbone_forward(cloud, config, params, training: bool = False):
     return backbone_apply(octree, feats, config, params, training)
 
 
+def float64(tree):
+    """``tree`` with every parameter cast to float64 in place (a built model
+    is float32; its running statistics already are float64)."""
+    for _, t in trainable_parameters(tree):
+        t.data = t.data.astype(np.float64)
+    return tree
+
+
 def count_parameters(obj) -> int:
     """Total trainable entries; buffers (running stats) excluded."""
     return sum(t.size for _, t in trainable_parameters(obj))

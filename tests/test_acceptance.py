@@ -23,13 +23,14 @@ from octformer.network import (
 )
 from octformer.octconv import ConvSpec, octree_conv
 from octformer.octree import QuantizedCloud, build_octree, filter_and_pad_count
-from octformer.partition import AttentionParams, make_plan, windowed_attention
+from octformer.partition import AttentionParams, PartitionPlan, make_plan, windowed_attention
 from octformer.synthetic import two_spheres_dataset
 
 from oracles import (
     count_parameters,
     dense_conv3d,
     dense_masked_attention,
+    float64,
     full_grid_tree,
     gradcheck,
     interleave2d,
@@ -159,7 +160,7 @@ def test_criterion_3_padding(capsys):
         base = windowed_attention(x, make_plan(n, k, d), params).data
         for extra in (1, 2):
             padded = filter_and_pad_count(n, k, d) + extra * k * d
-            more = windowed_attention(x, make_plan(n, k, d, padded=padded),
+            more = windowed_attention(x, PartitionPlan(n, k, d, padded),
                                       params).data
             worst = max(worst, float(np.abs(base - more).max()))
     ok &= worst < 1e-6
@@ -322,8 +323,8 @@ def test_criterion_6_gradient_checks(capsys):
     rng = np.random.default_rng(78)
     tree_b = build_octree(QuantizedCloud(rng.random((40, 3)), 3))
     nb = tree_b.node_count(3)
-    block = BlockParams.init(8, heads=2, ratio=2, dilation=2,
-                             rng=np.random.default_rng(79), dtype=np.float64)
+    block = float64(BlockParams.init(8, heads=2, ratio=2, dilation=2,
+                                     rng=np.random.default_rng(79)))
 
     def block_build(xs):
         out = octformer_block(xs[0], tree_b, 3, block, point_number=4,

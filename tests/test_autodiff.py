@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from octformer import tensor as T
 from octformer.errors import NumericError, ShapeError
 
-from oracles import finite_difference, gradcheck, naive_matmul, relative_error
+from oracles import finite_difference, float64, gradcheck, naive_matmul, relative_error
 
 rng = np.random.default_rng
 
@@ -285,9 +285,9 @@ def _backward_keeping_every_gradient(tape, loss) -> dict:
 
 def test_backward_keeps_only_leaf_gradients():
     r = rng(14)
-    fc1 = T.LinearParams.init(6, 12, r, np.float64)
-    fc2 = T.LinearParams.init(12, 6, r, np.float64)
-    ln = T.LayerNormParams.init(6, np.float64)
+    fc1 = float64(T.LinearParams.init(6, 12, r))
+    fc2 = float64(T.LinearParams.init(12, 6, r))
+    ln = float64(T.LayerNormParams.init(6))
     with T.Tape() as tape:
         x = T.Tensor(r.normal(size=(9, 6)), np.float64)
         dead = T.Tensor(r.normal(size=(9, 6)), np.float64)
@@ -482,7 +482,6 @@ def test_rewritten_ops_match_numpy_bit_for_bit(dtype):
 
     lin = T.linear(T.Tensor(x), T.LinearParams(T.Tensor(w), T.Tensor(b))).data
     assert np.array_equal(lin, x @ w + b)
-    assert np.array_equal(T.linear(T.Tensor(x), T.LinearParams(T.Tensor(w))).data, x @ w)
     assert np.array_equal(x, before)  # no op wrote into its input
     for out in (lin, ln, bn):
         assert out.dtype == dtype
@@ -493,15 +492,11 @@ def test_linear_gradcheck():
         y = T.linear(xs[0], T.LinearParams(xs[1], xs[2]))
         return T.sum_(T.mul(y, xs[3]))
 
-    def without_bias(xs):
-        return T.sum_(T.mul(T.linear(xs[0], T.LinearParams(xs[1])), xs[2]))
-
     gradcheck(with_bias, [(5, 4), (4, 3), (3,), (5, 3)])
-    gradcheck(without_bias, [(5, 4), (4, 3), (5, 3)])
 
 
 def test_linear_shape_error():
-    p = T.LinearParams(T.Tensor(np.zeros((4, 3))))
+    p = T.LinearParams(T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros(3)))
     for shape in ((5, 3), (2, 5, 4), (4,)):
         with pytest.raises(ShapeError):
             T.linear(T.Tensor(np.zeros(shape)), p)

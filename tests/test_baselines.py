@@ -15,6 +15,7 @@ from octformer.baselines import (
     knn_indices,
     knn_sliding_attention,
 )
+from octformer.errors import ConfigError
 from octformer.octree import QuantizedCloud, build_octree
 from octformer.partition import AttentionParams, make_plan, windowed_attention
 
@@ -57,7 +58,7 @@ def test_global_matches_dense_oracle():
 
 def test_global_guard():
     p = params_of(8, 2, 7)
-    with pytest.raises(ResourceWarning):
+    with pytest.raises(ConfigError):
         global_attention(T.Tensor(np.zeros((5000, 8))), p)
 
 

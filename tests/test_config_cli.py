@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octformer import cli
+from octformer import cli, network
 from octformer.bench import BenchSettings
 from octformer.config import load_run_config, parse_run_config
 from octformer.errors import ConfigError
@@ -690,6 +690,26 @@ def test_cli_attend_checksum_deterministic(tmp_path, capsys):
     code, out2, _ = run_cli(capsys, "attend", str(src), "--depth", "6",
                             "--k", "8", "--d", "2", "--seed", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("channels, heads", [(33, 1), (50, 2)])
+def test_cli_attend_takes_the_largest_head_count_dividing_its_channels(
+        tmp_path, capsys, monkeypatch, channels, heads):
+    src = tmp_path / "pts.xyz"
+    src.write_text("\n".join(" ".join(f"{v:.6f}" for v in row)
+                             for row in np.random.default_rng(1).random((200, 3))) + "\n")
+    seen, block_fn = [], network.octformer_block
+
+    def recording_block(x, octree, depth, block, *args, **kwargs):
+        seen.append(block.attn.heads)
+        return block_fn(x, octree, depth, block, *args, **kwargs)
+
+    monkeypatch.setattr(network, "octformer_block", recording_block)
+    code, out, err = run_cli(capsys, "attend", str(src), "--depth", "6", "--k", "8",
+                             "--channels", str(channels))
+    assert code == 0 and err == ""
+    assert out.count("\n") == 1 and f"channels {channels} checksum" in out
+    assert seen == [heads]
 
 
 def test_cli_selftest(capsys):

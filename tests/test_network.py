@@ -38,6 +38,7 @@ from oracles import (
     backbone_forward,
     count_parameters,
     finite_difference_filtered,
+    float64,
     full_grid_tree,
     gradcheck,
     grads_close,
@@ -255,7 +256,9 @@ def test_fpn_head_per_node_matches_per_point(dtype):
     cfg = tiny_config()
     cloud = sphere_cloud(400, depth=7, seed=11)
     tree = build_octree(cloud)
-    model = init_model(cfg, seed=3, dtype=dtype)
+    model = init_model(cfg, seed=3)
+    if dtype == np.float64:
+        float64(model)
     feats = T.Tensor(init_leaf_features(tree, cloud, **cfg.feature_flags()).data, dtype)
     pyramid = backbone_apply(tree, feats, cfg, model.backbone, training=True)
     labels = np.random.default_rng(12).integers(0, cfg.num_classes, size=cloud.num_points)
@@ -329,7 +332,7 @@ def test_end_to_end_gradcheck_micro():
     tree = build_octree(cloud)
     feats = init_leaf_features(tree, cloud, **cfg.feature_flags())
     feats = T.Tensor(feats.data, np.float64)
-    model = init_model(cfg, seed=2, dtype=np.float64)
+    model = float64(init_model(cfg, seed=2))
     labels = np.random.default_rng(14).integers(0, 2, size=cloud.num_points)
 
     # training mode: batch norm keeps activations O(1), away from the
@@ -392,7 +395,7 @@ def test_far_point_outside_receptive_field_leaves_logits_unchanged():
 
     cfg = tiny_config(channels=8, point_number=4, dilation=2, num_classes=2,
                       fpn_channels=6, head_hidden=6)
-    model = init_model(cfg, seed=3, dtype=np.float64)
+    model = float64(init_model(cfg, seed=3))
     # warm the batch-norm running stats so eval activations are O(1)
     segment_logits(QuantizedCloud(pos_with, depth), model, training=True)
 
@@ -441,9 +444,7 @@ def test_float32_segment_matches_float64_oracle():
     cloud = sphere_cloud(400, seed=7)
     model32 = init_model(tiny_config(), seed=8)
     segment_logits(cloud, model32, training=True)  # warm the batch-norm statistics
-    model64 = copy.deepcopy(model32)
-    for _, t in trainable_parameters(model64):
-        t.data = t.data.astype(np.float64)
+    model64 = float64(copy.deepcopy(model32))
 
     got = segment_logits(cloud, model32, training=False).data
     ref = segment_logits(cloud, model64, training=False).data
@@ -601,7 +602,7 @@ def test_saving_a_loaded_model_over_its_own_file_keeps_its_bytes(tmp_path):
 
 def test_a_float64_checkpoint_loads_float64_placeholders(tmp_path):
     cloud = sphere_cloud(300, depth=7, seed=17)
-    model = init_model(tiny_config(), seed=4, dtype=np.float64)
+    model = float64(init_model(tiny_config(), seed=4))
     path = str(tmp_path / "model.ofck")
     save_checkpoint(path, model)
     restored = load_checkpoint(path)
@@ -686,7 +687,7 @@ def test_train_rejects_bad_labels():
 def test_fit_stops_at_the_step_whose_loss_is_not_finite():
     """Steps 0 and 1 train; the taped logits of step 2 hold a nan, so fit
     raises before that step's backward and update."""
-    lift = T.LinearParams.init(1, 2, np.random.default_rng(0), dtype=np.float64)
+    lift = float64(T.LinearParams.init(1, 2, np.random.default_rng(0)))
     labels = np.array([0, 1, 0, 1])
     taped = []
 

@@ -17,7 +17,7 @@ from octformer import tensor as T
 from octformer.network import NetworkConfig, init_model, named_tensors, segment_logits
 from octformer.octree import QuantizedCloud, build_octree
 
-from oracles import naive_segment_logits
+from oracles import float64, naive_segment_logits
 
 TOL = 1e-10
 
@@ -38,7 +38,7 @@ def random_model(blocks, seed: int, **overrides) -> network.ModelParams:
               num_classes=3, features=("position", "color"), fpn_channels=12,
               head_hidden=12)
     config = NetworkConfig(**{**kw, **overrides})
-    model = init_model(config, seed=seed, dtype=np.float64)
+    model = float64(init_model(config, seed=seed))
     rng = np.random.default_rng(seed + 1)
     for name, value, kind in named_tensors(model):
         if kind == "buffer":  # running statistics

@@ -14,7 +14,7 @@ from octformer.octconv import (
 )
 from octformer.octree import QuantizedCloud, build_octree
 
-from oracles import dense_conv3d, finite_difference, full_grid_tree, relative_error
+from oracles import dense_conv3d, finite_difference, float64, full_grid_tree, relative_error
 
 
 def grid_from_features(tree, depth, x):
@@ -229,7 +229,7 @@ def test_embedding_matches_composed_convs():
     rng = np.random.default_rng(11)
     pos = rng.random((150, 3))
     tree = build_octree(QuantizedCloud(pos, 4))
-    params = EmbeddingParams.init(3, 4, rng, dtype=np.float64)
+    params = float64(EmbeddingParams.init(3, 4, rng))
     x0 = rng.normal(size=(tree.node_count(4), 3))
     got = embedding_stack(T.Tensor(x0, np.float64), tree, 4, params, training=False)
 

@@ -62,6 +62,13 @@ def test_plan_5_4_2_hand_case():
     assert src[1].tolist() == [1, 3, 5, 7]
 
 
+@pytest.mark.parametrize("padded", [3, 12])
+def test_a_plan_pads_to_a_covering_multiple_of_k_times_d(padded):
+    # 3 is short of n = 5 and 12 is no multiple of k*d = 8
+    with pytest.raises(ValueError, match="multiple of 8"):
+        PartitionPlan(5, 4, 2, padded)
+
+
 def test_plan_identity_layout_for_d1():
     plan = make_plan(40, 8, 1)
     assert np.array_equal(plan.window_sources(), np.arange(40))
@@ -147,7 +154,7 @@ def test_apply_reverse_round_trip():
 def test_apply_matches_index_loop(n, k, d, extra):
     # position span*k*d + i*d + j lands in window span*d + j, slot i
     x = np.random.default_rng(n).normal(size=(n, 5))
-    plan = make_plan(n, k, d, padded=make_plan(n, k, d).padded + extra * k * d)
+    plan = PartitionPlan(n, k, d, make_plan(n, k, d).padded + extra * k * d)
     out = apply_plan(T.Tensor(x, np.float64), plan).data
     src = plan.window_sources()
     expect = np.zeros((plan.b, k, 5))
@@ -164,7 +171,7 @@ def test_apply_matches_index_loop(n, k, d, extra):
 @pytest.mark.parametrize("d", [1, 3])
 def test_regroup_gradcheck(d):
     n, k, c = 10, 4, 3
-    plan = make_plan(n, k, d, padded=make_plan(n, k, d).padded + 2 * k * d)
+    plan = PartitionPlan(n, k, d, make_plan(n, k, d).padded + 2 * k * d)
     gradcheck(lambda xs: T.sum_(T.mul(apply_plan(xs[0], plan), xs[1])),
               [(n, c), (plan.b, k, c)])
     gradcheck(lambda xs: T.sum_(T.mul(reverse_plan(xs[0], plan), xs[1])),
@@ -233,7 +240,7 @@ def test_attention_padding_invariance():
     base = windowed_attention(x, make_plan(n, k, d), params).data
     for extra in (1, 3):
         padded = make_plan(n, k, d).padded + extra * k * d
-        more = windowed_attention(x, make_plan(n, k, d, padded=padded), params).data
+        more = windowed_attention(x, PartitionPlan(n, k, d, padded), params).data
         assert np.abs(base - more).max() < 1e-6
 
 
@@ -309,7 +316,7 @@ def test_attention_without_padding_adds_no_mask(monkeypatch, dtype):
         return T.add(a, b)
 
     monkeypatch.setattr(partition, "add", counting_add)
-    padded = windowed_attention(x, make_plan(n, k, d, padded=n + k * d), params)
+    padded = windowed_attention(x, PartitionPlan(n, k, d, n + k * d), params)
     assert adds == [(n // k + d, 1, 1, k)]
     plain = windowed_attention(x, make_plan(n, k, d), params)
     assert adds == [(n // k + d, 1, 1, k)]

@@ -10,7 +10,8 @@ constant (the benchmark's tracer patches names given as strings).
 
 Likewise each defaulted parameter of a public function in ``src/octformer``
 is a knob: some call in a program file must set it, or it is a knob that only
-the tests turn.
+the tests turn. A call ``Cls.method(...)`` (or ``module.Cls.method(...)``)
+with ``Cls`` a class of ``src/octformer`` sets only that class's method.
 """
 
 import ast
@@ -27,16 +28,12 @@ ALLOWED = {
 }
 
 # function.parameter -> why it keeps its default although no program call sets it
-ALLOWED_DEFAULTS = {
-    "make_plan.padded": "the padding-invariance tests and acceptance criterion 3 "
-                        "plan with extra padding windows",
-    "init_model.dtype": "float64 models for the whole-network oracle and gradchecks",
-}
+ALLOWED_DEFAULTS: dict[str, str] = {}
 
 
-def _program_files():
+def _program_files(root=ROOT):
     for top in PROGRAM:
-        yield from sorted((ROOT / top).rglob("*.py"))
+        yield from sorted((root / top).rglob("*.py"))
 
 
 def _definitions(tree: ast.Module):
@@ -106,31 +103,44 @@ def _sets(call: ast.Call, position: int | None, name: str) -> bool:
     return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
 
-def unset_defaults(allowed=ALLOWED_DEFAULTS) -> list[tuple[str, str]]:
+def unset_defaults(allowed=ALLOWED_DEFAULTS, root=ROOT) -> list[tuple[str, str]]:
     """(file:line, function.parameter) of each defaulted parameter of a public
-    function or method in ``src/octformer`` that no program call passes. Calls
-    match by the called name, as ``unused_public_names`` matches uses."""
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in _program_files()}
-    calls: dict[str, list[ast.Call]] = {}
+    function or method in ``src/octformer`` under ``root`` that no program call
+    passes. A call ``Cls.method(...)``, ``Cls`` a class of ``src/octformer``,
+    matches that class's method only; any other call matches by the called
+    name, as ``unused_public_names`` matches uses."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in _program_files(root)}
+    src = {path: tree for path, tree in trees.items()
+           if root / "src" / "octformer" in path.parents}
+    classes = {c.name for tree in src.values() for c in tree.body
+               if isinstance(c, ast.ClassDef)}
+    calls: dict[tuple[str | None, str], list[ast.Call]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = _named(node.func)
-                if name is not None:
-                    calls.setdefault(name, []).append(node)
+                if name is None:
+                    continue
+                owner = _named(getattr(node.func, "value", None))  # X of X.name(...)
+                key = (owner if owner in classes else None, name)
+                calls.setdefault(key, []).append(node)
     unset = []
-    for path, tree in trees.items():
-        if ROOT / "src" / "octformer" not in path.parents:
-            continue
-        top = set(tree.body)
+    for path, tree in src.items():
+        owners = {m: c.name for c in tree.body if isinstance(c, ast.ClassDef)
+                  for m in c.body}
         for d in _definitions(tree):
             if d.name.startswith("_") or isinstance(d, ast.ClassDef):
                 continue
-            for position, arg in _defaulted(d, method=d not in top):
+            owner = owners.get(d)
+            matching = calls.get((None, d.name), [])
+            if owner is not None:
+                matching = matching + calls.get((owner, d.name), [])
+            for position, arg in _defaulted(d, method=owner is not None):
                 knob = f"{d.name}.{arg}"
                 if knob not in allowed and not any(
-                        _sets(c, position, arg) for c in calls.get(d.name, ())):
-                    unset.append((f"{path.relative_to(ROOT)}:{d.lineno}", knob))
+                        _sets(c, position, arg) for c in matching):
+                    unset.append((f"{path.relative_to(root)}:{d.lineno}", knob))
     return unset
 
 
@@ -145,6 +155,26 @@ def test_the_allowlist_holds_only_unused_names():
 
 def test_every_defaulted_parameter_is_set_by_the_program():
     assert unset_defaults() == []
+
+
+def test_a_class_method_call_sets_only_that_class_method(tmp_path):
+    package = tmp_path / "src" / "octformer"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        "class A:\n"
+        "    @classmethod\n"
+        "    def init(cls, n, dtype=None): ...\n"
+        "class B:\n"
+        "    @classmethod\n"
+        "    def init(cls, n, dtype=None): ...\n"
+        "    def grow(self, by=1): ...\n"
+        "def make(n, dtype=None): ...\n"
+        "def run(b):\n"
+        "    m.A.init(1, dtype=float)\n"  # sets A.init only
+        "    b.grow(2)\n"  # an instance call matches by name
+        "    make(1, float)\n")  # a bare name matches the function
+    assert unset_defaults(allowed=(), root=tmp_path) == [
+        ("src/octformer/m.py:6", "init.dtype")]
 
 
 def test_the_default_allowlist_holds_only_unset_parameters():
