@@ -18,6 +18,7 @@ import numpy as np
 
 from . import morton
 from .baselines import (
+    GLOBAL_ATTENTION_GUARD,
     cubic_partition,
     cubic_window_attention,
     global_attention,
@@ -59,11 +60,18 @@ class BenchSettings:
         smallest = min(self.sizes, default=self.k_neighbors)
         if "knn" in self.variants and smallest < self.k_neighbors:
             raise ConfigError(f"bench k_neighbors {self.k_neighbors} exceeds size {smallest}")
+        largest = max(self.sizes, default=0)
+        if "global" in self.variants and largest > GLOBAL_ATTENTION_GUARD:
+            raise ConfigError(f"global attention guarded at N <= "
+                              f"{GLOBAL_ATTENTION_GUARD}, got {largest}")
         if self.trials < 1 or self.warmup < 0:
             raise ConfigError("trials must be >= 1 and warmup >= 0")
         for name in ("channels", "heads", "point_number", "k_neighbors", "cubic_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"bench {name} must be >= 1, got {getattr(self, name)}")
+        if self.channels % self.heads != 0:
+            raise ConfigError(f"bench channels {self.channels} not divisible by "
+                              f"heads {self.heads}")
         if self.depth is not None and not 1 <= self.depth <= morton.MAX_DEPTH:
             raise ConfigError(f"bench depth must be in [1, {morton.MAX_DEPTH}], "
                               f"got {self.depth}")

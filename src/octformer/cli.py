@@ -157,9 +157,9 @@ def _cmd_partition(args) -> int:
 def _cmd_attend(args) -> int:
     import numpy as np
 
-    from .experiments import ablation_heads
-    from .network import BlockParams, octformer_block
+    from .network import MLP_RATIO, BlockParams, octformer_block
     from .octree import build_octree, init_leaf_features
+    from .partition import heads_for
     from .pointcloud import load_point_cloud
     from .tensor import LinearParams, linear
 
@@ -171,7 +171,7 @@ def _cmd_attend(args) -> int:
     rng = np.random.default_rng(args.seed)
     c = args.channels
     lift = LinearParams.init(feats.shape[1], c, rng)
-    block = BlockParams.init(c, heads=ablation_heads(c), ratio=4, dilation=args.d,
+    block = BlockParams.init(c, heads=heads_for(c), ratio=MLP_RATIO, dilation=args.d,
                              rng=rng)
     feats = feats.astype(lift.weight.dtype)  # run the block at the weights' precision
     out = octformer_block(linear(feats, lift), tree, tree.depth, block,

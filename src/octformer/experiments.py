@@ -25,6 +25,7 @@ from .network import (
     trainable_parameters,
 )
 from .octree import build_octree, init_leaf_features
+from .partition import heads_for
 from .tensor import LinearParams, Tensor, gather_rows, linear
 
 
@@ -75,13 +76,6 @@ def train_block_stack(sample: LabeledCloud, params: BlockStackParams,
                logits_of, settings)
 
 
-def ablation_heads(channels: int) -> int:
-    """The largest divisor of ``channels`` that is at most ``channels // 16``
-    (at least 1): one head per 16 channels where that divides them."""
-    cap = max(1, channels // 16)
-    return max(h for h in range(1, cap + 1) if channels % h == 0)
-
-
 def run_cpe_ablation(points_per_octant: int = 160, depth: int = 5,
                      channels: int = 48, num_blocks: int = 6,
                      point_number: int = 16, steps: int = 240,
@@ -93,7 +87,7 @@ def run_cpe_ablation(points_per_octant: int = 160, depth: int = 5,
     sample = octant_task_cloud(points_per_octant, depth, seed)
     settings = OptimSettings(steps=steps, lr=3e-3, weight_decay=0.01,
                              batch_size=1, seed=seed)
-    heads = ablation_heads(channels)
+    heads = heads_for(channels)
     results = {}
     for with_cpe in (True, False):
         params = init_block_stack(

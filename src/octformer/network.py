@@ -33,6 +33,7 @@ from .partition import (
     AttentionParams,
     CpeParams,
     conditional_positional_encoding,
+    heads_for,
     make_plan,
     windowed_attention,
 )
@@ -56,11 +57,11 @@ from .tensor import (
     reshape,
     residual_rows,
     row_blocks,
-    scatter_rows_add,
     taping,
 )
 
 STAGE_WIDTH_FACTORS = (1, 2, 4, 4)
+MLP_RATIO = 4  # hidden width of a block's MLP per channel
 
 PRESETS = {
     "small": dict(channels=96, blocks=(2, 2, 6, 2)),
@@ -75,15 +76,11 @@ class NetworkConfig:
     blocks: tuple[int, int, int, int] = (2, 2, 18, 2)
     point_number: int = 32
     dilation: int = 4
-    head_divisor: int = 16
-    mlp_ratio: int = 4
     octree_depth: int = 8
     num_classes: int = 20
     features: tuple[str, ...] = ("position", "color")
     fpn_channels: int = 168
     head_hidden: int = 168
-    embed_depth: int | None = None
-    variant: str = "custom"
 
     def __post_init__(self):
         self.blocks = tuple(int(b) for b in self.blocks)
@@ -92,22 +89,15 @@ class NetworkConfig:
             raise ConfigError("blocks must be four non-negative counts")
         if self.channels < 1 or self.point_number < 1 or self.dilation < 1:
             raise ConfigError("channels, point_number, dilation must be >= 1")
-        if self.mlp_ratio < 1 or self.head_divisor < 1:
-            raise ConfigError("mlp_ratio and head_divisor must be >= 1")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.fpn_channels < 1 or self.head_hidden < 1:
             raise ConfigError("fpn_channels and head_hidden must be >= 1")
-        if self.embed_depth is not None and self.embed_depth < 1:
-            raise ConfigError("embed_depth must be >= 1, or null for the octree depth")
         unknown = set(self.features) - {"position", "color", "normal"}
         if unknown:
             raise ConfigError(f"unknown features {sorted(unknown)}")
         if not self.features:
             raise ConfigError("at least one input feature is required")
-        for c in self.stage_channels:
-            if c % self.heads(c) != 0:
-                raise ConfigError(f"stage width {c} not divisible by its head count")
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "NetworkConfig":
@@ -115,7 +105,7 @@ class NetworkConfig:
             raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
         kw = dict(PRESETS[name])
         kw.update(overrides)
-        return cls(variant=name, **kw)
+        return cls(**kw)
 
     @property
     def stage_channels(self) -> tuple[int, ...]:
@@ -124,9 +114,6 @@ class NetworkConfig:
     @property
     def in_channels(self) -> int:
         return 3 * len(self.features)
-
-    def heads(self, channels: int) -> int:
-        return max(1, channels // self.head_divisor)
 
     def feature_flags(self) -> dict[str, bool]:
         return {
@@ -215,7 +202,7 @@ def _module_params(config: NetworkConfig, rng):
     yield EmbeddingParams.init(config.in_channels, config.channels, rng)
     for i, c in enumerate(widths):
         for b in range(config.blocks[i]):
-            yield BlockParams.init(c, config.heads(c), config.mlp_ratio,
+            yield BlockParams.init(c, heads_for(c), MLP_RATIO,
                                    1 if b % 2 == 0 else config.dilation, rng)
         if i < 3:
             yield ConvBnParams.init(2, 2, c, widths[i + 1], rng)
@@ -337,35 +324,18 @@ def octformer_block(x: Tensor, octree: Octree, depth: int, block: BlockParams,
                          x, row_blocks(n, mlp.fc1.weight.shape[1]), overwrite_x=True)
 
 
-def pool_to_depth(octree: Octree, feats: Tensor, from_depth: int,
-                  to_depth: int) -> Tensor:
-    """Average-pool node features up the tree (children mean per parent)."""
-    x = feats
-    for level in range(from_depth, to_depth, -1):
-        parents = octree.parent_index[level]
-        n_par = octree.node_count(level - 1)
-        sums = scatter_rows_add(x, parents, n_par)
-        counts = np.bincount(parents, minlength=n_par).astype(x.dtype)
-        x = sums * Tensor(1.0 / counts[:, None])
-    return x
-
-
 def backbone_apply(octree: Octree, feats: Tensor, config: NetworkConfig,
                    backbone: BackboneParams, training: bool) -> FeaturePyramid:
-    """Run embedding + stages given prebuilt octree and leaf features."""
-    embed_depth = octree.depth if config.embed_depth is None else config.embed_depth
-    if embed_depth < 7:
-        raise ConfigError(f"backbone needs octree depth >= 7, got {embed_depth}")
-    if embed_depth > octree.depth:
-        raise ConfigError("embed_depth exceeds octree depth")
+    """Run embedding + stages given prebuilt octree and leaf features; the
+    embedding takes the leaves at the octree depth two depths up."""
+    if octree.depth < 7:
+        raise ConfigError(f"backbone needs octree depth >= 7, got {octree.depth}")
     if feats.shape[0] != octree.node_count(octree.depth):
         raise ShapeError("leaf feature rows must match leaf node count")
-    if embed_depth < octree.depth:
-        feats = pool_to_depth(octree, feats, octree.depth, embed_depth)
 
     with resident(backbone.embedding):
-        x = embedding_stack(feats, octree, embed_depth, backbone.embedding, training)
-    depth = embed_depth - 2
+        x = embedding_stack(feats, octree, octree.depth, backbone.embedding, training)
+    depth = octree.depth - 2
     levels, depths = [], []
     for i, stage in enumerate(backbone.stages):
         for block in stage.blocks:
@@ -456,7 +426,7 @@ def segment_logits(cloud: QuantizedCloud, model: ModelParams,
 # checkpoint format
 
 CKPT_MAGIC = b"OFCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.float32, 1: np.float64}
 
@@ -526,25 +496,35 @@ def resident(params):
 
 
 def save_checkpoint(path: str, model: ModelParams) -> None:
-    """Write ``model`` as an OFCK file. A loaded model is read in whole before
-    the file is opened, so it can be saved over its own file; its next read
-    then finds that file changed, which is a DataError."""
+    """Write ``model`` as an OFCK file. The file is written beside ``path``
+    and renamed over it once whole, so a failed save leaves ``path`` as it
+    was. A loaded model is read in whole before the write starts, so it can be
+    saved over its own file; its next read then finds that file changed, which
+    is a DataError."""
     cfg = dataclasses.asdict(model.config)
     cfg_bytes = json.dumps(cfg, sort_keys=True).encode()
-    with resident(model), open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<I", len(cfg_bytes)))
-        f.write(cfg_bytes)
-        for name, value, kind in named_tensors(model):
-            arr = value.data if kind == "param" else value
-            name_b = name.encode()
-            f.write(struct.pack("<I", len(name_b)))
-            f.write(name_b)
-            f.write(struct.pack("<B", _DTYPE_TAGS[np.dtype(arr.dtype)]))
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).data)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with resident(model):
+        f = open(tmp, "xb")  # not tempfile's: the mode follows the umask
+        try:
+            with f:
+                f.write(CKPT_MAGIC)
+                f.write(struct.pack("<I", CKPT_VERSION))
+                f.write(struct.pack("<I", len(cfg_bytes)))
+                f.write(cfg_bytes)
+                for name, value, kind in named_tensors(model):
+                    arr = value.data if kind == "param" else value
+                    name_b = name.encode()
+                    f.write(struct.pack("<I", len(name_b)))
+                    f.write(name_b)
+                    f.write(struct.pack("<B", _DTYPE_TAGS[np.dtype(arr.dtype)]))
+                    f.write(struct.pack("<I", arr.ndim))
+                    f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                    f.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def load_checkpoint(path: str) -> ModelParams:

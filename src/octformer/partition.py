@@ -108,6 +108,14 @@ def reverse_plan(y: Tensor, plan: PartitionPlan) -> Tensor:
                    lambda g: (plan.to_windows(g),))
 
 
+def heads_for(channels: int) -> int:
+    """The head count of attention over ``channels`` channels: the largest
+    divisor of ``channels`` that is at most ``channels // 16`` (at least 1),
+    so one head per 16 channels wherever that divides them."""
+    cap = max(1, channels // 16)
+    return max(h for h in range(1, cap + 1) if channels % h == 0)
+
+
 @dataclass
 class AttentionParams:
     """Projection weights for multi-head scaled dot-product attention."""

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from octformer.morton import MAX_DEPTH
-from octformer.network import backbone_apply, trainable_parameters
+from octformer.network import MLP_RATIO, backbone_apply, trainable_parameters
 from octformer.octree import QuantizedCloud, build_octree, init_leaf_features
+from octformer.partition import heads_for
 from octformer.selftest import dense_conv3d, dense_masked_attention  # noqa: F401
 
 
@@ -284,12 +285,11 @@ def _naive_gelu(x: np.ndarray) -> np.ndarray:
 
 def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
     """Per-point logits of the segmentation network at float64, from the
-    paper's layout: leaf features are pooled up to the config's
-    ``embed_depth`` (each node the mean of its children's rows, not of its
-    points), then an embedding of five conv/BN/ReLU modules (kernels
-    3,2,3,2,3, strides 1,2,1,2,1) takes them two depths up; four
-    stages of blocks (CPE, then pre-norm windowed attention and pre-norm GELU
-    MLP, each with a residual) run one depth apart, joined by kernel-2
+    paper's layout: an embedding of five conv/BN/ReLU modules (kernels
+    3,2,3,2,3, strides 1,2,1,2,1) takes the leaf features two depths up; four
+    stages of blocks (CPE, then pre-norm windowed attention with
+    ``heads_for(C)`` heads and a pre-norm GELU MLP ``MLP_RATIO`` times as wide,
+    each with a residual) run one depth apart, joined by kernel-2
     stride-2 conv/BN downsamples; block b of a stage has dilation 1 when b is
     even and the config's dilation when b is odd. The FPN head adds each
     level's lateral linear to its parent's (cell >> 1) merged row, then runs a
@@ -302,13 +302,12 @@ def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
     """
     config = model.config
     depth = cloud.depth
-    embed_depth = depth if config.embed_depth is None else config.embed_depth
     scaled = cloud.positions * float(1 << depth)
     grid = np.minimum(np.floor(scaled), (1 << depth) - 1)  # a point at 1 - ulp
     cells = [tuple(int(v) for v in c) for c in grid]
     nodes = {level: _Nodes([(x >> (depth - level), y >> (depth - level),
                              z >> (depth - level)) for x, y, z in cells], level)
-             for level in range(embed_depth - 5, depth + 1)}
+             for level in range(depth - 5, depth + 1)}
 
     # leaf features: per leaf, the mean of (offset from the voxel centre, in
     # voxel units), colour and normal, in that order, for the enabled ones
@@ -329,16 +328,6 @@ def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
     x /= counts[:, None]
 
     level = depth
-    while level > embed_depth:  # each parent (cell >> 1) the mean of its children
-        children, level = nodes[level], level - 1
-        sums = np.zeros((len(nodes[level].cells), x.shape[1]))
-        counts = np.zeros(len(sums))
-        for (cx, cy, cz), row in zip(children.cells, x):
-            parent = nodes[level].rank[(cx >> 1, cy >> 1, cz >> 1)]
-            sums[parent] += row
-            counts[parent] += 1
-        x = sums / counts[:, None]
-
     for kernel, stride, mod in zip((3, 2, 3, 2, 3), (1, 2, 1, 2, 1),
                                    model.backbone.embedding.modules):
         src, level = nodes[level], level - (stride == 2)
@@ -357,10 +346,11 @@ def naive_segment_logits(cloud, model, training: bool = False) -> np.ndarray:
                 x = x + _naive_batch_norm(enc, block.cpe.bn, training)
             d = 1 if b % 2 == 0 else config.dilation
             window = (ranks // (k * d)) * d + ranks % d
-            a = block.attn
+            a, c = block.attn, x.shape[1]
             x = x + dense_masked_attention(_naive_layer_norm(x, block.ln1), a.w_q.data,
                                            a.w_k.data, a.w_v.data, a.w_o.data,
-                                           a.heads, window)
+                                           heads_for(c), window)
+            assert block.mlp.fc1.weight.shape == (c, MLP_RATIO * c)
             h = _naive_gelu(_naive_linear(_naive_layer_norm(x, block.ln2), block.mlp.fc1))
             x = x + _naive_linear(h, block.mlp.fc2)
         pyramid.append((x, here))

@@ -23,7 +23,13 @@ from octformer.network import (
 )
 from octformer.octconv import ConvSpec, octree_conv
 from octformer.octree import QuantizedCloud, build_octree, filter_and_pad_count
-from octformer.partition import AttentionParams, PartitionPlan, make_plan, windowed_attention
+from octformer.partition import (
+    AttentionParams,
+    PartitionPlan,
+    heads_for,
+    make_plan,
+    windowed_attention,
+)
 from octformer.synthetic import two_spheres_dataset
 
 from oracles import (
@@ -346,7 +352,7 @@ def test_criterion_7_structural_constants(capsys):
     t0 = time.perf_counter()
     ok = True
     base = NetworkConfig.preset("base")
-    ok &= base.heads(base.channels) == 6
+    ok &= heads_for(base.channels) == 6
     ok &= base.stage_channels == (96, 192, 384, 384)
 
     # pyramid depths span S/4 .. S/32 (embed depth minus 2 .. minus 5)

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octformer import cli, network
+from octformer import bench, cli, network
 from octformer.bench import BenchSettings
 from octformer.config import load_run_config, parse_run_config
 from octformer.errors import ConfigError
-from octformer.network import OptimSettings
+from octformer.network import NetworkConfig, OptimSettings
 
 
 def run_cli(capsys, *argv):
@@ -29,7 +29,7 @@ def run_cli(capsys, *argv):
 def test_config_defaults():
     cfg = parse_run_config({})
     assert cfg.bench.sizes == (10_000, 20_000, 50_000, 100_000, 200_000)
-    assert cfg.network.build().variant == "base"
+    assert cfg.network.build() == NetworkConfig.preset("base")
 
 
 def test_config_rejects_unknown_keys():
@@ -201,6 +201,20 @@ def test_cli_segment_malformed_checkpoint_config_exits_2_with_one_line(
                               + cfg_bytes + blob[12 + cfg_len:])
     assert code == cli.EXIT_DATA
     assert err.count("\n") == 1 and "bad checkpoint config" in err and key in err
+
+
+def test_cli_segment_refuses_a_version_1_checkpoint(colour_segment_files):
+    """Version 1 is the format whose config also held ``head_divisor``,
+    ``mlp_ratio``, ``embed_depth`` and ``variant``."""
+    d, blob = colour_segment_files
+    cfg_len = int.from_bytes(blob[8:12], "little")
+    cfg = json.loads(blob[12:12 + cfg_len])
+    cfg.update(head_divisor=16, mlp_ratio=4, embed_depth=None, variant="custom")
+    cfg_bytes = json.dumps(cfg, sort_keys=True).encode()
+    old = (blob[:4] + (1).to_bytes(4, "little") + len(cfg_bytes).to_bytes(4, "little")
+           + cfg_bytes + blob[12 + cfg_len:])
+    assert _segment_with(d, old) == (cli.EXIT_DATA,
+                                     "data error: unsupported checkpoint version 1\n")
 
 
 def _record_fields(blob: bytes) -> list[tuple[int, int]]:
@@ -790,6 +804,30 @@ def test_cli_bench_bad_settings_exit_2_with_one_line(tmp_path, capsys, settings)
     code, _, err = run_cli(capsys, "bench", "--config", str(cfg_path))
     assert code == cli.EXIT_DATA
     assert len(err.strip().splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"variants": ["octree", "global"], "sizes": [64, 5000], "depth": 6},
+     "global attention guarded at N <= 4096, got 5000"),
+    ({"channels": 10, "heads": 3}, "bench channels 10 not divisible by heads 3"),
+], ids=["global-above-guard", "channels-not-divisible-by-heads"])
+def test_cli_bench_refuses_a_sweep_that_cannot_run_before_any_cell(
+        tmp_path, capsys, monkeypatch, settings, message):
+    data = {"bench": {"sizes": [64], "trials": 1, "warmup": 0, **settings}}
+    with pytest.raises(ConfigError, match=message):
+        parse_run_config(data)
+    cells, make_runner = [], bench._make_runner
+
+    def counting(*args):
+        cells.append(args)
+        return make_runner(*args)
+
+    monkeypatch.setattr(bench, "_make_runner", counting)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "bench", "--config", str(cfg_path))
+    assert (code, out, err) == (cli.EXIT_DATA, "", f"data error: {message}\n")
+    assert cells == []
 
 
 def test_cli_bad_config_is_data_error(tmp_path, capsys):

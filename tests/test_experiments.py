@@ -12,6 +12,7 @@ from octformer import tensor as T
 from octformer.experiments import block_stack_logits, init_block_stack, train_block_stack
 from octformer.network import OptimSettings
 from octformer.octree import build_octree, init_leaf_features
+from octformer.partition import heads_for
 from octformer.synthetic import octant_task_cloud
 
 
@@ -115,7 +116,8 @@ def test_cpe_ablation_script_reports_out_of_memory_in_one_line(monkeypatch, caps
 
 @pytest.mark.parametrize("channels, heads", [(48, 3), (64, 4), (8, 1), (33, 1), (100, 5)])
 def test_ablation_heads_is_the_largest_divisor_within_one_per_16_channels(channels, heads):
-    assert experiments.ablation_heads(channels) == heads
+    """The ablation's head count is ``heads_for``, the network's rule."""
+    assert heads_for(channels) == heads
 
 
 def test_cpe_ablation_runs_33_channels_with_one_head(monkeypatch):

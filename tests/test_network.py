@@ -31,7 +31,7 @@ from octformer.network import (
 )
 from octformer.octconv import conv_indices
 from octformer.octree import QuantizedCloud, Taps, build_octree, init_leaf_features
-from octformer.partition import AttentionParams, make_plan, windowed_attention
+from octformer.partition import AttentionParams, heads_for, make_plan, windowed_attention
 from octformer.synthetic import two_spheres_dataset
 
 from oracles import (
@@ -80,9 +80,9 @@ def test_presets():
 
 def test_structural_constants():
     cfg = NetworkConfig.preset("base")
-    assert cfg.heads(cfg.channels) == 6  # 96 / 16
+    assert heads_for(cfg.channels) == 6  # 96 / 16
     assert cfg.stage_channels == (96, 192, 384, 384)
-    assert [cfg.heads(c) for c in cfg.stage_channels] == [6, 12, 24, 24]
+    assert [heads_for(c) for c in cfg.stage_channels] == [6, 12, 24, 24]
 
 
 def test_parameter_counts_match_reference_sizes():
@@ -102,8 +102,6 @@ def test_config_validation():
         tiny_config(num_classes=1)
     with pytest.raises(ConfigError):
         tiny_config(features=("position", "intensity"))
-    with pytest.raises(ConfigError):
-        tiny_config(embed_depth=0)  # 0 is not "embed at the octree depth"
 
 
 # -- blocks and backbone --------------------------------------------------------
@@ -155,27 +153,6 @@ def test_backbone_requires_depth7():
     model = init_model(cfg, seed=0)
     with pytest.raises(ConfigError):
         backbone_forward(cloud, cfg, model.backbone)
-
-
-def test_backbone_embed_depth_pools_leaves():
-    # octree deeper than the embedding input depth: leaf features are
-    # mean-pooled up before the conv stack
-    cfg = tiny_config(octree_depth=8, embed_depth=7)
-    cloud = sphere_cloud(400, depth=8, seed=21)
-    tree = build_octree(cloud)
-    model = init_model(cfg, seed=0)
-    pyramid = backbone_forward(cloud, cfg, model.backbone, training=False)
-    assert pyramid.depths == [5, 4, 3, 2]
-    for lvl, depth in zip(pyramid.levels, pyramid.depths):
-        assert lvl.shape[0] == tree.node_count(depth)
-
-    from octformer.network import pool_to_depth
-    feats = init_leaf_features(tree, cloud, **cfg.feature_flags())
-    pooled = pool_to_depth(tree, feats, 8, 7).data
-    assert pooled.shape == (tree.node_count(7), feats.shape[1])
-    # one parent's pooled row equals the mean of its children's rows
-    children = np.flatnonzero((tree.keys[8] >> np.uint64(3)) == tree.keys[7][0])
-    assert np.allclose(pooled[0], feats.data[children].mean(axis=0), atol=1e-6)
 
 
 def test_residual_identity_reduces_to_conv_path():
@@ -598,6 +575,33 @@ def test_saving_a_loaded_model_over_its_own_file_keeps_its_bytes(tmp_path):
     data = path.read_bytes()
     save_checkpoint(str(path), load_checkpoint(str(path)))
     assert path.read_bytes() == data
+
+
+def test_a_failed_save_keeps_the_file_it_would_replace(tmp_path):
+    """A float16 parameter has no dtype tag, so the save fails partway
+    through its records; the old file keeps its bytes and no other file is
+    left beside it."""
+    path = tmp_path / "model.ofck"
+    save_checkpoint(str(path), init_model(tiny_config(), seed=4))
+    data = path.read_bytes()
+    model = init_model(tiny_config(), seed=5)
+    last = trainable_parameters(model)[-1][1]
+    last.data = last.data.astype(np.float16)
+    with pytest.raises(KeyError):
+        save_checkpoint(str(path), model)
+    assert path.read_bytes() == data
+    assert os.listdir(tmp_path) == ["model.ofck"]
+    load_checkpoint(str(path))
+
+
+def test_a_saved_checkpoint_takes_its_mode_from_the_umask(tmp_path):
+    path = tmp_path / "model.ofck"
+    old = os.umask(0o022)
+    try:
+        save_checkpoint(str(path), init_model(tiny_config(), seed=4))
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o644
 
 
 def test_a_float64_checkpoint_loads_float64_placeholders(tmp_path):

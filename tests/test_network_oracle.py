@@ -32,12 +32,11 @@ def two_sphere_cloud(n: int, seed: int) -> QuantizedCloud:
     return QuantizedCloud(pos, 7, colors=rng.random((n, 3)))
 
 
-def random_model(blocks, seed: int, **overrides) -> network.ModelParams:
+def random_model(blocks, seed: int) -> network.ModelParams:
     """A float64 model with every weight, norm and running statistic drawn."""
-    kw = dict(channels=16, blocks=blocks, point_number=8, dilation=2, octree_depth=7,
-              num_classes=3, features=("position", "color"), fpn_channels=12,
-              head_hidden=12)
-    config = NetworkConfig(**{**kw, **overrides})
+    config = NetworkConfig(channels=16, blocks=blocks, point_number=8, dilation=2,
+                           octree_depth=7, num_classes=3, features=("position", "color"),
+                           fpn_channels=12, head_hidden=12)
     model = float64(init_model(config, seed=seed))
     rng = np.random.default_rng(seed + 1)
     for name, value, kind in named_tensors(model):
@@ -54,10 +53,9 @@ def random_model(blocks, seed: int, **overrides) -> network.ModelParams:
     return model
 
 
-def assert_matches_oracle(blocks, training: bool, seed: int = 0, cloud=None,
-                          **overrides):
-    cloud = two_sphere_cloud(500, seed) if cloud is None else cloud
-    model = random_model(blocks, seed, **overrides)
+def assert_matches_oracle(blocks, training: bool, seed: int = 0):
+    cloud = two_sphere_cloud(500, seed)
+    model = random_model(blocks, seed)
     want = naive_segment_logits(cloud, copy.deepcopy(model), training)
     got = segment_logits(cloud, model, training).data
     assert got.dtype == np.float64 and got.shape == want.shape
@@ -82,19 +80,3 @@ def test_small_chunks_and_blocks_match_the_naive_network(monkeypatch):
     assert len(T.row_blocks(stage0, 4 * 16)) > 3
     assert len(T.row_blocks(stage0, 1, network.HEAD_BLOCK_ROWS)) > 3
     assert_matches_oracle((2, 2, 2, 2), training=False, seed=1)
-
-
-@pytest.mark.parametrize("training", [False, True])
-def test_embed_depth_pooling_matches_the_naive_network(training):
-    """An octree one depth deeper than the embedding: each depth-7 node's
-    features are the mean of its children's leaf rows, which differs from the
-    mean of its points where its children hold unequal point counts."""
-    rng = np.random.default_rng(2)
-    pos = 0.48 + 0.04 * rng.random((3000, 3))  # about 10 cells a side at depth 8
-    cloud = QuantizedCloud(pos, 8, colors=rng.random((3000, 3)))
-    tree = build_octree(cloud)
-    points = np.bincount(tree.point_assignment)
-    children = np.bincount(tree.parent_index[8])
-    assert points.max() > 1 and children.max() > 1
-    assert_matches_oracle((1, 1, 1, 1), training, seed=2, cloud=cloud, octree_depth=8,
-                          embed_depth=7)

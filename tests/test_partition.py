@@ -12,6 +12,7 @@ from octformer.partition import (
     PartitionPlan,
     apply_plan,
     conditional_positional_encoding,
+    heads_for,
     make_plan,
     plan_to_csv,
     reverse_plan,
@@ -193,6 +194,17 @@ def test_apply_shape_error():
 
 
 # -- windowed attention ----------------------------------------------------------
+
+def test_heads_for_keeps_one_head_per_16_channels_where_that_divides():
+    """Where the plain rule ``max(1, c // 16)`` divides c it is the largest
+    divisor within the cap, so ``heads_for`` gives the same head count (and
+    the same weight draws) as that rule; elsewhere it falls to a divisor."""
+    for c in range(1, 1025):
+        h = heads_for(c)
+        assert c % h == 0 and 1 <= h <= max(1, c // 16), c
+        if c % max(1, c // 16) == 0:
+            assert h == max(1, c // 16), c
+
 
 def window_ids(plan: PartitionPlan) -> np.ndarray:
     return plan.window_of_position()[: plan.n]

@@ -15,7 +15,11 @@ with ``Cls`` a class of ``src/octformer`` sets only that class's method.
 """
 
 import ast
+import dataclasses
 import pathlib
+
+from octformer.config import NetworkSection
+from octformer.network import NetworkConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROGRAM = ("src", "scripts", "perfbench")
@@ -179,3 +183,17 @@ def test_a_class_method_call_sets_only_that_class_method(tmp_path):
 
 def test_the_default_allowlist_holds_only_unset_parameters():
     assert sorted(knob for _, knob in unset_defaults(allowed=())) == sorted(ALLOWED_DEFAULTS)
+
+
+def test_the_network_config_holds_what_a_run_config_sets():
+    """``NetworkConfig`` holds the run config's network section (its preset
+    aside) and two more fields, ``fpn_channels`` and ``head_hidden``: no run
+    config sets them, but tests shrink the FPN head with them (``TINY`` in
+    test_network.py, the oracle's ``random_model`` and the toy checkpoints), so
+    the float64 gradchecks and the naive-network oracle stay fast."""
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert names(NetworkConfig) == (names(NetworkSection) - {"preset"}
+                                    | {"fpn_channels", "head_hidden"})
