@@ -159,7 +159,6 @@ def _cmd_attend(args) -> int:
 
     from .network import MLP_RATIO, BlockParams, octformer_block
     from .octree import build_octree, init_leaf_features
-    from .partition import heads_for
     from .pointcloud import load_point_cloud
     from .tensor import LinearParams, linear
 
@@ -171,8 +170,7 @@ def _cmd_attend(args) -> int:
     rng = np.random.default_rng(args.seed)
     c = args.channels
     lift = LinearParams.init(feats.shape[1], c, rng)
-    block = BlockParams.init(c, heads=heads_for(c), ratio=MLP_RATIO, dilation=args.d,
-                             rng=rng)
+    block = BlockParams.init(c, ratio=MLP_RATIO, dilation=args.d, rng=rng)
     feats = feats.astype(lift.weight.dtype)  # run the block at the weights' precision
     out = octformer_block(linear(feats, lift), tree, tree.depth, block,
                           point_number=args.k, training=False)

@@ -25,7 +25,6 @@ from .network import (
     trainable_parameters,
 )
 from .octree import build_octree, init_leaf_features
-from .partition import heads_for
 from .tensor import LinearParams, Tensor, gather_rows, linear
 
 
@@ -36,13 +35,13 @@ class BlockStackParams:
     classifier: LinearParams
 
 
-def init_block_stack(in_channels: int, channels: int, num_blocks: int, heads: int,
+def init_block_stack(in_channels: int, channels: int, num_blocks: int,
                      num_classes: int, dilation: int, seed: int,
                      with_cpe: bool) -> BlockStackParams:
     rng = np.random.default_rng(seed)
     blocks = []
     for b in range(num_blocks):
-        block = BlockParams.init(channels, heads, ratio=2,
+        block = BlockParams.init(channels, ratio=2,
                                  dilation=1 if b % 2 == 0 else dilation, rng=rng)
         if not with_cpe:
             block.cpe = None
@@ -87,13 +86,11 @@ def run_cpe_ablation(points_per_octant: int = 160, depth: int = 5,
     sample = octant_task_cloud(points_per_octant, depth, seed)
     settings = OptimSettings(steps=steps, lr=3e-3, weight_decay=0.01,
                              batch_size=1, seed=seed)
-    heads = heads_for(channels)
     results = {}
     for with_cpe in (True, False):
         params = init_block_stack(
             in_channels=3, channels=channels, num_blocks=num_blocks,
-            heads=heads, num_classes=8, dilation=4,
-            seed=seed, with_cpe=with_cpe)
+            num_classes=8, dilation=4, seed=seed, with_cpe=with_cpe)
         key = "with_cpe" if with_cpe else "without_cpe"
         results[key] = train_block_stack(sample, params, point_number, settings)
     results["num_points"] = int(sample.labels.size)

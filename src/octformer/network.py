@@ -149,12 +149,11 @@ class BlockParams:
     dilation: int
 
     @classmethod
-    def init(cls, channels: int, heads: int, ratio: int, dilation: int,
-             rng) -> "BlockParams":
+    def init(cls, channels: int, ratio: int, dilation: int, rng) -> "BlockParams":
         return cls(
             cpe=CpeParams.init(channels),
             ln1=LayerNormParams.init(channels),
-            attn=AttentionParams.init(channels, heads, rng),
+            attn=AttentionParams.init(channels, heads_for(channels), rng),
             ln2=LayerNormParams.init(channels),
             mlp=MlpParams.init(channels, ratio, rng),
             dilation=dilation,
@@ -202,8 +201,7 @@ def _module_params(config: NetworkConfig, rng):
     yield EmbeddingParams.init(config.in_channels, config.channels, rng)
     for i, c in enumerate(widths):
         for b in range(config.blocks[i]):
-            yield BlockParams.init(c, heads_for(c), MLP_RATIO,
-                                   1 if b % 2 == 0 else config.dilation, rng)
+            yield BlockParams.init(c, MLP_RATIO, 1 if b % 2 == 0 else config.dilation, rng)
         if i < 3:
             yield ConvBnParams.init(2, 2, c, widths[i + 1], rng)
     f = config.fpn_channels
@@ -503,6 +501,10 @@ def save_checkpoint(path: str, model: ModelParams) -> None:
     is a DataError."""
     cfg = dataclasses.asdict(model.config)
     cfg_bytes = json.dumps(cfg, sort_keys=True).encode()
+    for name, value, _ in named_tensors(model):
+        if value.dtype not in _DTYPE_TAGS:
+            raise ConfigError(f"cannot save {name}: dtype {value.dtype} is not "
+                              "float32 or float64")
     tmp = f"{path}.{os.getpid()}.tmp"
     with resident(model):
         f = open(tmp, "xb")  # not tempfile's: the mode follows the umask

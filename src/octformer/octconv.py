@@ -97,7 +97,13 @@ def _conv_rows(xd: np.ndarray, pairs, w: np.ndarray, depthwise: bool, n_out: int
             rows, cols = rows[lo:hi] - start, cols[lo:hi]
         for blk in row_blocks(rows.shape[0], out.shape[1]):
             r, c = rows[blk], cols[blk]
-            out[r] += xd[c] * wt if depthwise else xd[c] @ wt
+            y = np.take(xd, c, axis=0)
+            if depthwise:  # in place unless wt promotes the product
+                y = np.multiply(y, wt, out=y if y.dtype == out.dtype else None)
+            else:
+                y = y @ wt
+            y += np.take(out, r, axis=0)  # the bits of out[r] += ...: IEEE + commutes
+            out[r] = y
     return out
 
 
@@ -121,9 +127,11 @@ def gathered_conv(x: Tensor, idx: Taps, weights: Tensor, depthwise: bool,
         gx = np.zeros(xd.shape, dtype=g.dtype)
         gw = np.empty_like(w)
         for t, ((rows, cols), wt) in enumerate(zip(pairs, w)):
-            gt, xt = g[rows], xd[cols]
+            gt, xt = np.take(g, rows, axis=0), np.take(xd, cols, axis=0)
             gw[t] = np.einsum("nc,nc->c", xt, gt) if depthwise else xt.T @ gt
-            gx[cols] += gt * wt if depthwise else gt @ wt.T
+            y = gt * wt if depthwise else gt @ wt.T
+            y += np.take(gx, cols, axis=0)
+            gx[cols] = y
         return gx, gw
 
     conv = from_op(out, (x, weights), vjp)

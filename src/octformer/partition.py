@@ -183,7 +183,7 @@ def windowed_attention(x: Tensor, plan: PartitionPlan,
         pad = (plan.window_sources() >= plan.n).reshape(b, k)
         bias = np.where(pad[:, None, None, :], MASK_LOGIT, 0.0).astype(x.dtype)
         attn = add(attn, Tensor(bias))
-    attn = softmax(attn, axis=-1)
+    attn = softmax(attn)
     ctx = matmul(attn, val)                             # (B, H, K, dh)
     del attn, val
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b * k, h * dh))

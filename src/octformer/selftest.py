@@ -205,13 +205,12 @@ def check_gradients() -> bool:
     t = rng.normal(size=(3, 2))
 
     def f(a):
-        out = T.softmax(T.matmul(T.Tensor(a, np.float64), T.Tensor(b0, np.float64)),
-                        axis=1)
+        out = T.softmax(T.matmul(T.Tensor(a, np.float64), T.Tensor(b0, np.float64)))
         return float((out.data * t).sum())
 
     with T.Tape() as tape:
         at = T.Tensor(a0, np.float64)
-        loss = T.sum_(T.mul(T.softmax(T.matmul(at, T.Tensor(b0, np.float64)), axis=1),
+        loss = T.sum_(T.mul(T.softmax(T.matmul(at, T.Tensor(b0, np.float64))),
                             T.Tensor(t, np.float64)))
     T.backward(tape, loss)
     analytic = tape.grad(at)

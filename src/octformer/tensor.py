@@ -8,8 +8,8 @@ zero bookkeeping, which is what inference and benchmarking use.
 
 Default precision is 32-bit; gradient checks construct 64-bit tensors.
 Activations take their inputs' dtype (numpy's promotion of the operands),
-and a scalar never promotes: a Python or numpy scalar operand of ``add``,
-``sub`` or ``mul`` takes the dtype of the tensor operand. Ops write only into
+and a scalar never promotes: a Python or numpy scalar second operand of
+``add`` or ``mul`` takes the dtype of the first. Ops write only into
 arrays they allocated themselves, so an in-place step (``linear``'s bias add,
 the epilogues of :func:`linear_relu` and :func:`linear_add_rows`, the passes of
 ``gelu``, ``softmax`` and the norms) computes the same bits as the expression
@@ -103,28 +103,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
-
-    # light sugar; every dunder delegates to a taped op
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -220,10 +198,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as tensors; a scalar takes the other operand's dtype."""
-    if np.isscalar(a):
-        b = as_tensor(b)
-        return Tensor(a, b.dtype), b
+    """Both operands as tensors; a scalar ``b`` takes a's dtype."""
     a = as_tensor(a)
     return a, Tensor(b, a.dtype) if np.isscalar(b) else as_tensor(b)
 
@@ -236,13 +211,6 @@ def add(a, b, overwrite_b: bool = False) -> Tensor:
         return Tensor(np.add(a.data, b.data, out=b.data))
     out = Tensor(a.data + b.data)
     _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    out = Tensor(a.data - b.data)
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)))
     return out
 
 
@@ -486,15 +454,16 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     x = as_tensor(x)
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (((g - dot) * y).astype(x.dtype),)
 
     _record(out, (x,), vjp)

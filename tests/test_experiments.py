@@ -22,7 +22,7 @@ def test_block_stack_shapes_and_cpe_toggle():
     feats = init_leaf_features(tree, sample.cloud, use_color=True,
                                use_position=False)
     for with_cpe in (True, False):
-        params = init_block_stack(3, channels=16, num_blocks=2, heads=2,
+        params = init_block_stack(3, channels=16, num_blocks=2,
                                   num_classes=8, dilation=2, seed=0,
                                   with_cpe=with_cpe)
         logits = block_stack_logits(params, tree, feats, point_number=8,
@@ -36,7 +36,7 @@ def test_without_cpe_constant_features_give_constant_logits():
     feats = init_leaf_features(tree, sample.cloud, use_color=True,
                                use_position=False)
     assert np.allclose(feats.data, feats.data[0])
-    params = init_block_stack(3, channels=16, num_blocks=3, heads=2,
+    params = init_block_stack(3, channels=16, num_blocks=3,
                               num_classes=8, dilation=2, seed=2, with_cpe=False)
     logits = block_stack_logits(params, tree, feats, point_number=8,
                                 training=False).data
@@ -48,7 +48,7 @@ def test_with_cpe_breaks_constancy():
     tree = build_octree(sample.cloud)
     feats = init_leaf_features(tree, sample.cloud, use_color=True,
                                use_position=False)
-    params = init_block_stack(3, channels=16, num_blocks=3, heads=2,
+    params = init_block_stack(3, channels=16, num_blocks=3,
                               num_classes=8, dilation=2, seed=2, with_cpe=True)
     # zero-initialized CPE kernels start as the identity; perturb them
     rng = np.random.default_rng(3)
@@ -62,7 +62,7 @@ def test_with_cpe_breaks_constancy():
 
 def test_train_block_stack_smoke():
     sample = octant_task_cloud(10, depth=4, seed=4)
-    params = init_block_stack(3, channels=8, num_blocks=1, heads=1,
+    params = init_block_stack(3, channels=8, num_blocks=1,
                               num_classes=8, dilation=1, seed=5, with_cpe=True)
     settings = OptimSettings(steps=2, lr=1e-3, weight_decay=0.0, seed=0)
     result = train_block_stack(sample, params, point_number=8, settings=settings)
@@ -121,14 +121,14 @@ def test_ablation_heads_is_the_largest_divisor_within_one_per_16_channels(channe
 
 
 def test_cpe_ablation_runs_33_channels_with_one_head(monkeypatch):
-    heads = []
+    stacks = []
 
-    def init_recording_heads(*args, **kwargs):
-        heads.append(kwargs["heads"])
-        return init_block_stack(*args, **kwargs)
+    def train_recording_stacks(sample, params, *args, **kwargs):
+        stacks.append(params)
+        return train_block_stack(sample, params, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "init_block_stack", init_recording_heads)
+    monkeypatch.setattr(experiments, "train_block_stack", train_recording_stacks)
     res = experiments.run_cpe_ablation(points_per_octant=4, depth=3, channels=33,
                                        num_blocks=1, steps=1)
-    assert heads == [1, 1]
+    assert [[b.attn.heads for b in p.blocks] for p in stacks] == [[1], [1]]
     assert len(res["with_cpe"].records) == len(res["without_cpe"].records) == 1

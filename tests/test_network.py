@@ -85,6 +85,13 @@ def test_structural_constants():
     assert [heads_for(c) for c in cfg.stage_channels] == [6, 12, 24, 24]
 
 
+@pytest.mark.parametrize("c", [1, 8, 16, 33, 48, 96, 100, 384])
+def test_a_block_gets_heads_for_its_width(c):
+    block = BlockParams.init(c, ratio=4, dilation=1, rng=None)
+    assert block.attn.heads == heads_for(c)
+    assert block.attn.heads * block.attn.head_dim == c
+
+
 def test_parameter_counts_match_reference_sizes():
     counts = {}
     for name, target in (("small", 18e6), ("base", 39e6), ("large", 156e6)):
@@ -110,7 +117,8 @@ def test_block_preserves_shape_and_identity_at_zero_projections():
     tree = build_octree(sphere_cloud(300, depth=5, seed=1))
     rng = np.random.default_rng(2)
     c = 16
-    block = BlockParams.init(c, heads=2, ratio=4, dilation=2, rng=rng)
+    block = BlockParams.init(c, ratio=4, dilation=2, rng=rng)
+    block.attn = dataclasses.replace(block.attn, heads=2, head_dim=c // 2)  # the same weights
     n = tree.node_count(5)
     x = rng.normal(size=(n, c)).astype(np.float32)
     out = octformer_block(T.Tensor(x), tree, 5, block, point_number=8,
@@ -577,21 +585,35 @@ def test_saving_a_loaded_model_over_its_own_file_keeps_its_bytes(tmp_path):
     assert path.read_bytes() == data
 
 
-def test_a_failed_save_keeps_the_file_it_would_replace(tmp_path):
-    """A float16 parameter has no dtype tag, so the save fails partway
-    through its records; the old file keeps its bytes and no other file is
-    left beside it."""
+def test_a_failed_save_keeps_the_file_it_would_replace(tmp_path, monkeypatch):
+    """The save fails after its sibling file is written, at the rename; the
+    old file keeps its bytes and no other file is left beside it."""
     path = tmp_path / "model.ofck"
     save_checkpoint(str(path), init_model(tiny_config(), seed=4))
     data = path.read_bytes()
-    model = init_model(tiny_config(), seed=5)
-    last = trainable_parameters(model)[-1][1]
-    last.data = last.data.astype(np.float16)
-    with pytest.raises(KeyError):
-        save_checkpoint(str(path), model)
+
+    def replace(src, dst):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(network.os, "replace", replace)
+    with pytest.raises(OSError, match="disk went away"):
+        save_checkpoint(str(path), init_model(tiny_config(), seed=5))
     assert path.read_bytes() == data
     assert os.listdir(tmp_path) == ["model.ofck"]
     load_checkpoint(str(path))
+
+
+def test_saving_a_dtype_without_a_tag_is_a_config_error(tmp_path):
+    """A float16 parameter has no dtype tag: the save names it in one line and
+    writes no file."""
+    model = init_model(tiny_config(), seed=5)
+    name, last = trainable_parameters(model)[-1]
+    last.data = last.data.astype(np.float16)
+    with pytest.raises(ConfigError) as err:
+        save_checkpoint(str(tmp_path / "model.ofck"), model)
+    assert str(err.value) == (f"cannot save {name}: dtype float16 is not "
+                              "float32 or float64")
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_saved_checkpoint_takes_its_mode_from_the_umask(tmp_path):
@@ -931,7 +953,7 @@ def test_block_without_tape_keeps_one_full_size_array(monkeypatch):
     n = tree.node_count(5)
     assert len(network.attention_chunks(n, 32, 1, 2)) == 16
     r = np.random.default_rng(33)
-    block = BlockParams.init(c, 2, 4, 1, r)
+    block = BlockParams.init(c, 4, 1, r)
     block.cpe.kernel.data = r.normal(size=(27, c)).astype(np.float32)
     x = T.Tensor(r.normal(size=(n, c)), np.float32)
     with T.Tape():  # the taped ops write into no input; this also builds the tap tables

@@ -163,6 +163,59 @@ def test_blocked_taps_match_the_per_tap_expression_bit_for_bit(dtype, depthwise)
     assert len(T.row_blocks(len(tree.tap_table(5, 3, 1).pairs[13][0]), c)) >= 3
 
 
+@pytest.mark.parametrize("x_dtype, w_dtype", [(np.float32, np.float32),
+                                              (np.float64, np.float64),
+                                              (np.float64, np.float32),
+                                              (np.float32, np.float64)])
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_conv_and_its_vjp_have_the_bits_of_accumulating_each_tap(monkeypatch, x_dtype,
+                                                                 w_dtype, depthwise):
+    """The forward, whole and per output-row ``part``, and the vjp's gx and gw
+    have the bits of ``out[r] += x[c] @ w`` (``* w`` depthwise) per row block
+    and ``gx[cols] += g[rows] @ w.T`` per tap, with taps several blocks long."""
+    monkeypatch.setattr(T, "MLP_BLOCK_ELEMENTS", 256)  # 32 rows of 8 channels
+    tree, c = full_grid_tree(3), 8
+    n = tree.node_count(3)
+    rng = np.random.default_rng(44)
+
+    def accumulated(x, pairs, w, part):
+        out = np.zeros((part.stop - part.start, w.shape[-1]), np.result_type(x, w))
+        for (rows, cols), wt in zip(pairs, w):
+            lo, hi = np.searchsorted(rows, (part.start, part.stop))
+            rows, cols = rows[lo:hi] - part.start, cols[lo:hi]
+            for blk in T.row_blocks(rows.shape[0], out.shape[1]):
+                r, cc = rows[blk], cols[blk]
+                out[r] += x[cc] * wt if depthwise else x[cc] @ wt
+        return out
+
+    for kernel, stride in ((3, 1), (2, 2)):
+        idx = tree.tap_table(3, kernel, stride)
+        m = idx.n_out
+        x = rng.normal(size=(n, c)).astype(x_dtype)
+        w = rng.normal(size=(kernel**3, c) if depthwise else (kernel**3, c, c)).astype(w_dtype)
+        want = accumulated(x, idx.pairs, w, slice(0, m))
+        with T.Tape() as tape:
+            got = gathered_conv(T.Tensor(x), idx, T.Tensor(w), depthwise).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        parts = [slice(0, m // 3), slice(m // 3, m - 5), slice(m - 5, m)]
+        got = gathered_conv(T.Tensor(x), idx, T.Tensor(w), depthwise,
+                            then=lambda t: t, blocks=parts).data
+        assert got.tobytes() == np.concatenate(
+            [accumulated(x, idx.pairs, w, p) for p in parts]).tobytes()
+
+        g = rng.normal(size=want.shape).astype(want.dtype)
+        gx, gw = tape.nodes[-1].vjp(g)
+        want_gx, want_gw = np.zeros(x.shape, g.dtype), np.empty_like(w)
+        for t, ((rows, cols), wt) in enumerate(zip(idx.pairs, w)):
+            gt, xt = g[rows], x[cols]
+            want_gw[t] = np.einsum("nc,nc->c", xt, gt) if depthwise else xt.T @ gt
+            want_gx[cols] += gt * wt if depthwise else gt @ wt.T
+        assert gx.dtype == want_gx.dtype and gx.tobytes() == want_gx.tobytes()
+        assert gw.dtype == want_gw.dtype and gw.tobytes() == want_gw.tobytes()
+    assert len(T.row_blocks(len(tree.tap_table(3, 3, 1).pairs[13][0]), c)) == 16
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("depthwise", [False, True])
 def test_conv_without_tape_keeps_no_full_tap_temporary(dtype, depthwise):
